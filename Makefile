@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-quick conformance serve-smoke bench bench-json bench-serve bench-smoke bench-stack bench-train fuzz-smoke
+.PHONY: check build fmt vet test race race-quick conformance serve-smoke bench bench-json bench-serve bench-smoke bench-stack bench-train fuzz-smoke perfbench-check
 
-check: fmt vet build test race-quick fuzz-smoke bench-smoke
+check: fmt vet build test perfbench-check race-quick fuzz-smoke bench-smoke
 
 # build also cross-compiles for arm64 so the non-SIMD kernel stubs
 # (gemm_noasm.go) stay in signature-lockstep with the amd64 assembly.
@@ -21,6 +21,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark in perfbench/ is a Go module of its own, so the root
+# `go build ./...` never compiles it, yet it imports the engine and serve
+# APIs. Vet and test it with the module settings perfbench/run.sh uses.
+perfbench-check:
+	cd perfbench && export GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off GOTOOLCHAIN=local && \
+		$(GO) vet ./... && $(GO) test ./...
 
 # Full tree under the race detector (the training integration tests make
 # this take a few minutes); race-quick covers the concurrency-heavy engine
@@ -83,9 +90,9 @@ bench-json:
 	$(GO) run ./cmd/icsbench -servebench -json > BENCH_SERVE.json
 
 # Wire-to-verdict serving benchmark: a real serve.Server on loopback TCP
-# under 64 concurrent replay connections and 8 verdict subscribers, the
-# per-package admission path vs the burst path, with cross-mode verdict
-# parity enforced. Results are recorded in BENCH.md / BENCH_SERVE.json.
+# under 64 concurrent replay connections and 8 verdict subscribers, the one
+# ingest path at burst width 1 vs the default width, with cross-width
+# verdict parity enforced. Results are recorded in BENCH.md / BENCH_SERVE.json.
 bench-serve:
 	$(GO) run ./cmd/icsbench -servebench
 

@@ -62,8 +62,8 @@ func engineAllocs(t *testing.T, spec icsdetect.StackSpec) float64 {
 	defer eng.Stop()
 	feed := func(n int) {
 		for r := 0; r < n; r++ {
-			for _, p := range pkgs {
-				if err := eng.Submit("dev", p); err != nil {
+			for i := range pkgs {
+				if err := eng.SubmitBatchFor(nil, "dev", pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -30,10 +30,10 @@
 // (scalar, AVX2, AVX-512). -servebench measures the wire-to-verdict
 // serving path end to end: a real serve.Server on loopback TCP, -conns
 // concurrent replay connections of -records each fanning out to -subs
-// verdict subscribers, first over the per-package admission path and then
-// over the burst path, reporting pkg/s, verdict latency percentiles, and
-// the burst speedup (verdicts are cross-checked byte for byte between the
-// modes). -json emits the
+// verdict subscribers, first at ingest burst width 1 and then at the
+// default width on the same ingest path, reporting pkg/s, verdict latency
+// percentiles, and the burst speedup (verdicts are cross-checked byte for
+// byte between the widths). -json emits the
 // -stackbench/-kernelbench/-servebench results as a machine-readable JSON
 // document on stdout (progress moves to stderr); `make bench-json`
 // records them as BENCH_STACK.json, BENCH_KERNELS.json and
@@ -78,7 +78,7 @@ func run() error {
 		trainB   = flag.Bool("trainbench", false, "benchmark batched vs reference training at paper scale and exit")
 		stackB   = flag.Bool("stackbench", false, "benchmark detection stacks (per-level time share + throughput) and exit")
 		kernelB  = flag.Bool("kernelbench", false, "microbenchmark the inference kernels (dense vs one-hot × precisions × kernel tiers) and exit")
-		serveB   = flag.Bool("servebench", false, "benchmark the wire-to-verdict serving path (per-package vs burst admission over loopback TCP) and exit")
+		serveB   = flag.Bool("servebench", false, "benchmark the wire-to-verdict serving path (burst width 1 vs the default width over loopback TCP) and exit")
 		conns    = flag.Int("conns", 64, "with -servebench: concurrent replay connections")
 		records  = flag.Int("records", 2000, "with -servebench: records replayed per connection")
 		subs     = flag.Int("subs", 8, "with -servebench: verdict subscribers the hub fans out to")
@@ -449,8 +449,8 @@ func benchStack(fw *core.Framework, spec core.StackSpec, test []*dataset.Package
 	engStart := time.Now()
 	en := 0
 	for r := 0; r < reps; r++ {
-		for i, p := range test {
-			if err := eng.Submit(keys[i%streams], p); err != nil {
+		for i := range test {
+			if err := eng.SubmitBatchFor(nil, keys[i%streams], test[i:i+1]); err != nil {
 				return stackResult{}, err
 			}
 			en++

@@ -29,17 +29,18 @@ import (
 // timestamps, fans every verdict out to -subs subscribers (one measuring
 // latency and verdict hashes, the rest draining — the multi-consumer
 // deployment shape), and reports end-to-end throughput (pkg/s) and verdict
-// latency (p50/p99) — once over the per-package legacy admission path
-// (IngestBurst: 1, one engine submit and one published hub frame per
-// package) and once over the burst path (batched SubmitBatchFor admission,
-// per-tick coalesced verdict frames). The two runs must produce identical
-// per-stream verdict sequences (FNV-1a cross-check); the ratio of their
-// throughputs is the amortization win. `make bench-serve` runs it; `-json`
-// emits the record committed as BENCH_SERVE.json.
+// latency (p50/p99) — once at ingest burst width 1 (IngestBurst: 1, one
+// package per engine admission; mode "per-package") and once at the default
+// width (mode "burst"). Both runs take the same ingest path — SubmitBatchFor
+// admission and per-tick coalesced verdict frames — with only the width
+// differing. The two runs must produce identical per-stream verdict
+// sequences (FNV-1a cross-check); the ratio of their throughputs is what
+// admission width buys. `make bench-serve` runs it; `-json` emits the
+// record committed as BENCH_SERVE.json.
 
 // serveModeResult is one admission mode's measurement as emitted by -json.
 type serveModeResult struct {
-	Mode             string  `json:"mode"` // "per-package" or "burst"
+	Mode             string  `json:"mode"` // "per-package" (width 1) or "burst"
 	IngestBurst      int     `json:"ingest_burst"`
 	Packages         uint64  `json:"packages"`
 	WallSeconds      float64 `json:"wall_seconds"`
@@ -57,7 +58,7 @@ type serveBenchResult struct {
 	RecordsPerConn int               `json:"records_per_conn"`
 	Subscribers    int               `json:"subscribers"`
 	Modes          []serveModeResult `json:"modes"`
-	// Speedup is burst pkg/s over per-package pkg/s, both measured in this
+	// Speedup is burst pkg/s over width-1 pkg/s, both measured in this
 	// run.
 	Speedup float64 `json:"speedup"`
 	// VerdictsMatch records the cross-mode conformance check: every
@@ -360,10 +361,10 @@ func runServeBench(testdata string, conns, records, subs int, customLevels, cust
 		subs = 1
 	}
 	// Default to the signature-level stack: its per-package compute is
-	// cheap enough that the serving plane's own per-package costs (engine
-	// admission, hub fan-out, wire framing) dominate the measurement —
-	// which is exactly what the burst path amortizes. -levels swaps in any
-	// other stack.
+	// cheap enough that the serving plane's own per-admission costs
+	// (engine admission, wire framing) dominate the measurement — which is
+	// exactly what a wider burst amortizes. -levels swaps in any other
+	// stack.
 	levels, fusion := customLevels, customFusion
 	if levels == "" {
 		levels = "bloom"
@@ -401,7 +402,7 @@ func runServeBench(testdata string, conns, records, subs int, customLevels, cust
 		burst  int
 		hashes *map[string]uint64
 	}{
-		{1, &perPkgHashes}, // legacy baseline: one submit, one frame per package
+		{1, &perPkgHashes}, // width 1: one package per engine admission
 		{0, &burstHashes},  // default burst width (256)
 	} {
 		mode, hashes, err := runServeMode(fw, spec, raw, records, conns, subs, m.burst)
@@ -416,8 +417,8 @@ func runServeBench(testdata string, conns, records, subs int, customLevels, cust
 			mode.MeanIngestBurst, mode.MeanPublishBatch)
 	}
 
-	// Cross-mode conformance: the burst path must be verdict-invariant,
-	// stream for stream.
+	// Cross-width conformance: the admission width must be
+	// verdict-invariant, stream for stream.
 	res.VerdictsMatch = len(perPkgHashes) == len(burstHashes)
 	for s, h := range perPkgHashes {
 		if burstHashes[s] != h {

@@ -140,19 +140,27 @@ func run() error {
 	}
 	// The tap invokes the sink from its relay goroutines — one per
 	// direction per connection — so two goroutines can carry packages of
-	// the same unit. Engine.Submit requires per-stream submissions from
-	// one goroutine at a time; a mutex pins the stream order to the
-	// arrival order the sink observes. Stream keys are precomputed per
-	// Modbus unit ID (a byte) to keep the submit path allocation-free.
+	// the same unit. The engine requires per-stream submissions from one
+	// goroutine at a time; a mutex pins the stream order to the arrival
+	// order the sink observes. Stream keys are precomputed per Modbus unit
+	// ID (a byte), and each package is admitted as a one-package burst
+	// pkgs[i:i+1] of an append-only chunk (the engine reads a burst until
+	// it is classified, so slots are never reused), which keeps the submit
+	// path at one allocation per 256 packages.
 	var unitStream [256]string
 	for i := range unitStream {
 		unitStream[i] = fmt.Sprintf("unit-%d", i)
 	}
 	var submitMu sync.Mutex
+	var pkgs []*dataset.Package
 	proxy.SetSink(func(p *dataset.Package) {
 		submitMu.Lock()
 		defer submitMu.Unlock()
-		_ = eng.Submit(unitStream[int(p.Address)&0xff], p)
+		if len(pkgs) == cap(pkgs) {
+			pkgs = make([]*dataset.Package, 0, 256)
+		}
+		pkgs = append(pkgs, p)
+		_ = eng.SubmitBatchFor(nil, unitStream[int(p.Address)&0xff], pkgs[len(pkgs)-1:])
 	})
 
 	stop := make(chan os.Signal, 1)

@@ -24,8 +24,9 @@
 //     mode (an ICSTRACE byte stream, blocking admission) or live mode (raw
 //     MBAP-framed Modbus/TCP, shedding admission).
 //   - -verdicts streams classified verdicts to any number of subscribers.
-//   - -http is the ops endpoint: GET /healthz, GET /stats (lifetime plus
-//     interval-delta engine counters), POST /swap?model=NAME&path=FILE
+//   - -http is the ops endpoint: GET /healthz, GET /stats (cumulative
+//     engine and daemon counters plus elapsed_seconds; rate them over two
+//     scrapes), POST /swap?model=NAME&path=FILE
 //     (hot-swap a retrained icstrain -checkpoint snapshot behind an engine
 //     barrier, without restarting or disturbing live streams).
 //
@@ -101,7 +102,7 @@ func run() error {
 		shards     = flag.Int("shards", 0, "engine worker shards (default GOMAXPROCS)")
 		maxBatch   = flag.Int("maxbatch", 0, "micro-batch width cap (default 64)")
 		queue      = flag.Int("queue", 0, "per-shard queue depth (default 4*maxbatch)")
-		burst      = flag.Int("burst", 0, "ingest burst width: packages admitted per engine submit (default 256; 1 selects the per-package path)")
+		burst      = flag.Int("burst", 0, "ingest burst width: the most packages admitted per engine submit (default 256; 1 admits one package per submit)")
 		drain      = flag.Duration("drain", 5*time.Second, "shutdown grace for live connections")
 		idle       = flag.Duration("idle", 0, "ingest idle read deadline; a silent peer is dropped and its stream released (0 disables)")
 		subBuffer  = flag.Int("subbuffer", 0, "per-subscriber frame buffer (default 1024)")
@@ -219,9 +220,9 @@ func registersFor(name string) tap.RegisterMap {
 	return tap.RegisterMap{}
 }
 
-// logStats periodically prints interval-delta classification rates — the
-// Stats.Since counters the /stats endpoint serves, for operators watching
-// stderr instead.
+// logStats periodically prints interval-delta classification rates
+// (Stats.Since between its own snapshots) for operators watching stderr;
+// /stats serves the cumulative counters those deltas come from.
 func logStats(srv *serve.Server, every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()

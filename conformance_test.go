@@ -235,11 +235,11 @@ func TestTraceConformanceF32MixedPrecision(t *testing.T) {
 			if err := eng.BindPrecision("plc-f32", core.PrecisionF32); err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range pkgs {
-				if err := eng.Submit("plc-f64", p); err != nil {
+			for i := range pkgs {
+				if err := eng.SubmitBatchFor(nil, "plc-f64", pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.Submit("plc-f32", p); err != nil {
+				if err := eng.SubmitBatchFor(nil, "plc-f32", pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -263,7 +263,7 @@ func TestTraceConformanceF32MixedPrecision(t *testing.T) {
 
 // TestTraceConformanceMixedScenarios: one engine serving gas-pipeline and
 // water-tank streams concurrently on shared shards — each stream bound to
-// its scenario's model via SubmitFor, submissions interleaved round-robin
+// its scenario's model via SubmitBatchFor, submissions interleaved round-robin
 // across all 16 streams — must produce, per stream, verdicts
 // bytewise-identical to the committed goldens (which are sequential
 // single-scenario replays). Cross-scenario batching must never bleed state
@@ -324,7 +324,7 @@ func TestTraceConformanceMixedScenarios(t *testing.T) {
 			if s.fw != corpora[0].fw {
 				fw = s.fw
 			}
-			if err := eng.SubmitFor(fw, s.key, s.pkgs[i]); err != nil {
+			if err := eng.SubmitBatchFor(fw, s.key, s.pkgs[i:i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}

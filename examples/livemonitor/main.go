@@ -191,13 +191,14 @@ func run() error {
 	}
 	streamKeys := map[int]string{}
 	classifyPending := func() error {
-		for _, p := range monitor.Drain() {
+		pkgs := monitor.Drain()
+		for i, p := range pkgs {
 			key, ok := streamKeys[int(p.Address)]
 			if !ok {
 				key = fmt.Sprintf("unit-%d", int(p.Address))
 				streamKeys[int(p.Address)] = key
 			}
-			if err := eng.Submit(key, p); err != nil {
+			if err := eng.SubmitBatchFor(nil, key, pkgs[i:i+1]); err != nil {
 				return err
 			}
 		}

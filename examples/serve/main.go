@@ -144,5 +144,5 @@ func main() {
 	<-subDone
 	st := srv.Engine().Stats()
 	fmt.Printf("\ndrained: %d packages across %d streams, %d anomalous\n",
-		st.Packages, st.Streams, st.Packages-st.Clean)
+		st.Packages, st.Streams, st.Anomalies())
 }

@@ -196,7 +196,7 @@ func RegisterStage(kind string, f StageFactory) { core.RegisterStage(kind, f) }
 type (
 	// Engine is the sharded multi-stream detection engine.
 	Engine = engine.Engine
-	// EngineConfig tunes shards, micro-batch width, queue depth and mode.
+	// EngineConfig tunes shards, micro-batch width, queue depth and stack.
 	EngineConfig = engine.Config
 	// EngineResult is one classified package delivered to the handler.
 	EngineResult = engine.Result
@@ -209,16 +209,19 @@ type (
 )
 
 // NewEngine builds and starts a concurrent detection engine over a trained
-// detector. Feed it with Submit (one stream per device), read verdicts in
-// the handler, snapshot throughput with Stats, and release it with Stop:
+// detector. Feed it bursts with SubmitBatchFor (one stream per device; nil
+// selects the detector NewEngine was built over), read verdicts in the
+// handler, snapshot throughput with Stats, and release it with Stop. A
+// package admitted on its own is a burst of one, a subslice of a slice the
+// caller already holds:
 //
 //	eng, _ := icsdetect.NewEngine(det, icsdetect.EngineConfig{}, func(r icsdetect.EngineResult) {
 //		if r.Verdict.Anomaly {
 //			// raise an alert for r.Stream
 //		}
 //	})
-//	for pkg := range captured {
-//		eng.Submit(deviceID(pkg), pkg)
+//	for i, pkg := range captured {
+//		eng.SubmitBatchFor(nil, deviceID(pkg), captured[i:i+1])
 //	}
 //	eng.Stop()
 func NewEngine(det *Detector, cfg EngineConfig, handler EngineHandler) (*Engine, error) {

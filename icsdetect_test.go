@@ -78,8 +78,8 @@ func TestFacadeQuickPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range split.Test {
-		if err := eng.Submit("link", p); err != nil {
+	for i := range split.Test {
+		if err := eng.SubmitBatchFor(nil, "link", split.Test[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,9 +27,9 @@ func reloadFramework(t *testing.T, fw *core.Framework) *core.Framework {
 	return fw2
 }
 
-// TestEngineBatchMatchesSequentialSessions is the burst path's core
-// guarantee: mixed SubmitBatch bursts and single Submits, interleaved with
-// Barriers, produce for every stream exactly the verdicts a sequential
+// TestEngineBatchMatchesSequentialSessions is the admission path's core
+// guarantee: bursts of every width, one-package bursts included, interleaved
+// with Barriers, produce for every stream exactly the verdicts a sequential
 // core.Session would — same values, same per-stream FIFO order — across
 // shard counts and burst widths (including bursts wider than MaxBatch).
 func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
@@ -41,19 +41,35 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 
 	for _, tc := range []struct {
 		shards, streams, burst int
+		// hot sends three packages in four to one stream, so most of the
+		// load is that stream's one-package admissions, with the other
+		// streams interleaved.
+		hot bool
 	}{
-		{1, 1, 7},
-		{2, 5, 3},
-		{4, 16, 7},
-		{3, 8, 64}, // bursts wider than MaxBatch span micro-batches
+		{1, 1, 7, false},
+		{2, 5, 3, false},
+		{4, 16, 7, false},
+		{3, 8, 64, false}, // bursts wider than MaxBatch span micro-batches
+		// A tick of many one-package admissions of one stream among the
+		// others: the wave loop must stay exact (and linear).
+		{1, 7, 1, true},
 	} {
+		key := func(i int) string {
+			if tc.hot && i%4 != 0 {
+				return "hot"
+			}
+			return streamKey(i, tc.streams)
+		}
 		name := fmt.Sprintf("shards=%d/streams=%d/burst=%d", tc.shards, tc.streams, tc.burst)
+		if tc.hot {
+			name += "/hot"
+		}
 		t.Run(name, func(t *testing.T) {
 			// Expected verdicts: one sequential session per stream.
 			want := make(map[string][]core.Verdict)
 			sessions := make(map[string]*core.Session)
 			for i, p := range pkgs {
-				key := streamKey(i, tc.streams)
+				key := key(i)
 				sess := sessions[key]
 				if sess == nil {
 					sess = fw.NewSession()
@@ -65,8 +81,13 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 			var mu sync.Mutex
 			got := make(map[string][]core.Verdict)
 			total := 0
+			queue := 32
+			if tc.hot {
+				// Deep enough that a tick holds hundreds of admissions.
+				queue = 512
+			}
 			e, err := engine.New(fw, engine.Config{
-				Shards: tc.shards, MaxBatch: 16, QueueDepth: 32,
+				Shards: tc.shards, MaxBatch: 16, QueueDepth: queue,
 			}, func(r engine.Result) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -81,10 +102,10 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 			}
 
 			// Submit in arrival order, accumulating per-stream bursts. Every
-			// third flush goes through the single-package path instead, so
-			// bursts and singles interleave on the same streams; a Barrier
-			// lands after each third of the load with all pending bursts
-			// flushed first, checking mid-run completeness.
+			// third flush admits its packages one per burst instead, so wide
+			// and one-package bursts interleave on the same streams; a
+			// Barrier lands after each third of the load with all pending
+			// bursts flushed first, checking mid-run completeness.
 			pending := make(map[string][]*dataset.Package)
 			flushes := 0
 			flush := func(key string) {
@@ -94,20 +115,18 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 				}
 				delete(pending, key)
 				flushes++
+				width := len(batch)
 				if flushes%3 == 0 {
-					for _, p := range batch {
-						if err := e.Submit(key, p); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return
+					width = 1
 				}
-				if err := e.SubmitBatch(key, batch); err != nil {
-					t.Fatal(err)
+				for i := 0; i < len(batch); i += width {
+					if err := e.SubmitBatchFor(nil, key, batch[i:i+width]); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			for i, p := range pkgs {
-				key := streamKey(i, tc.streams)
+				key := key(i)
 				pending[key] = append(pending[key], p)
 				if len(pending[key]) >= tc.burst {
 					flush(key)
@@ -152,7 +171,7 @@ func TestEngineBatchMatchesSequentialSessions(t *testing.T) {
 }
 
 // TestEngineBatchBindingAndRelease: SubmitBatchFor binds the stream on its
-// first burst like SubmitFor does; a burst under a different framework is
+// first burst; a burst under a different framework is
 // rejected whole (nothing partially classified); Release frees the binding
 // so the stream can rebind; the empty burst is a no-op that neither binds
 // nor errors.
@@ -177,7 +196,7 @@ func TestEngineBatchBindingAndRelease(t *testing.T) {
 	if err := e.SubmitBatchFor(fw2, "tank-1", nil); err != nil {
 		t.Fatalf("empty burst errored: %v", err)
 	}
-	if err := e.SubmitBatch("tank-1", pkgs[:2]); err != nil {
+	if err := e.SubmitBatchFor(nil, "tank-1", pkgs[:2]); err != nil {
 		t.Fatalf("default bind after empty fw2 burst: %v", err)
 	}
 	// Bound to the default now: a burst under fw2 must be rejected whole.
@@ -210,11 +229,11 @@ func TestEngineBatchBindingAndRelease(t *testing.T) {
 
 	// Lifecycle guard: batch submits after Stop error; the try variant
 	// reports neither queued nor shed.
-	if err := e.SubmitBatch("tank-1", pkgs[:1]); err == nil {
-		t.Error("SubmitBatch after Stop did not error")
+	if err := e.SubmitBatchFor(nil, "tank-1", pkgs[:1]); err == nil {
+		t.Error("SubmitBatchFor after Stop did not error")
 	}
-	if ok, err := e.TrySubmitBatch("tank-1", pkgs[:1]); ok || err == nil {
-		t.Error("TrySubmitBatch after Stop did not error")
+	if ok, err := e.TrySubmitBatchFor(nil, "tank-1", pkgs[:1]); ok || err == nil {
+		t.Error("TrySubmitBatchFor after Stop did not error")
 	}
 }
 
@@ -242,7 +261,7 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	}
 
 	// First package occupies the worker inside the handler...
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", pkgs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	<-first
@@ -250,9 +269,9 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	// one per package.
 	for i := 0; i < 4; i++ {
 		batch := pkgs[1+3*i : 4+3*i]
-		ok, err := e.TrySubmitBatch("dev", batch)
+		ok, err := e.TrySubmitBatchFor(nil, "dev", batch)
 		if err != nil || !ok {
-			t.Fatalf("TrySubmitBatch %d: ok=%v err=%v, want queued", i, ok, err)
+			t.Fatalf("TrySubmitBatchFor %d: ok=%v err=%v, want queued", i, ok, err)
 		}
 	}
 	if st := e.Stats(); st.QueueDepth != 4 {
@@ -260,21 +279,21 @@ func TestEngineTryBatchAllOrNothing(t *testing.T) {
 	}
 	// The queue is full: the next burst sheds whole, and shedding on a
 	// stream not yet bound must not bind it.
-	if ok, err := e.TrySubmitBatch("dev", pkgs[13:15]); ok || err != nil {
-		t.Errorf("TrySubmitBatch on a full queue: ok=%v err=%v, want shed", ok, err)
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", pkgs[13:15]); ok || err != nil {
+		t.Errorf("TrySubmitBatchFor on a full queue: ok=%v err=%v, want shed", ok, err)
 	}
 	if ok, err := e.TrySubmitBatchFor(fw2, "fresh", pkgs[13:15]); ok || err != nil {
 		t.Errorf("TrySubmitBatchFor on a full queue: ok=%v err=%v, want shed", ok, err)
 	}
 	// The empty burst reports admitted without occupying a slot.
-	if ok, err := e.TrySubmitBatch("dev", nil); !ok || err != nil {
-		t.Errorf("empty TrySubmitBatch: ok=%v err=%v, want trivial success", ok, err)
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", nil); !ok || err != nil {
+		t.Errorf("empty TrySubmitBatchFor: ok=%v err=%v, want trivial success", ok, err)
 	}
 
 	close(release)
 	e.Stop()
 	if st := e.Stats(); st.Packages != 13 {
-		t.Errorf("Packages = %d after drain, want 13 (1 single + 4 bursts of 3)", st.Packages)
+		t.Errorf("Packages = %d after drain, want 13 (1 + 4 bursts of 3)", st.Packages)
 	}
 	// "fresh" shed before ever binding: it must still be bindable under the
 	// default framework — which the shed fw2 burst would have blocked had
@@ -305,11 +324,11 @@ func TestEngineTryBatchShedDoesNotBind(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", pkgs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	<-first
-	if ok, err := e.TrySubmit("dev", pkgs[1]); err != nil || !ok {
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", pkgs[1:2]); err != nil || !ok {
 		t.Fatalf("fill queue: ok=%v err=%v", ok, err)
 	}
 	// Shed a fw2 burst on the fresh stream, then release the worker and
@@ -322,7 +341,7 @@ func TestEngineTryBatchShedDoesNotBind(t *testing.T) {
 	if err := e.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitBatch("fresh", pkgs[2:5]); err != nil {
+	if err := e.SubmitBatchFor(nil, "fresh", pkgs[2:5]); err != nil {
 		t.Errorf("default bind after a shed fw2 burst: %v (shed must not bind)", err)
 	}
 	e.Stop()

@@ -5,16 +5,20 @@
 //
 // Architecture:
 //
-//	Submit(stream, pkg) ──hash(stream)──▶ shard 0 ─▶ worker goroutine
-//	                                      shard 1 ─▶ worker goroutine
-//	                                      …            │
-//	                                                   ▼
-//	                      tick: drain queued packets
+//	SubmitBatchFor(fw, stream, pkgs) ──hash(stream)──▶ shard 0 ─▶ worker goroutine
+//	TrySubmitBatchFor(fw, stream, pkgs)                shard 1 ─▶ worker goroutine
+//	                                                   …            │
+//	                                                                ▼
+//	                      tick: drain queued bursts
 //	                        precompute batchable Check scores (window
 //	                          levels: PCA/GMM batched kernels)
-//	                        per-stream Session Check phase, sequential
+//	                        waves: the next package of every stream, through
+//	                          its Session Check phase, in sequence
 //	                        micro-batched Advance passes (LSTM steps via
 //	                          nn.StepBatchLogits); scalar stages inline
+//
+// The burst is the only unit of admission: a caller that admits one package
+// at a time submits a burst of one (a pkgs[i:i+1] subslice).
 //
 // Each stream is pinned to one shard by a hash of its ID, so per-stream
 // package order — and therefore per-stream verdicts — are exactly those of
@@ -23,8 +27,8 @@
 // drained tick instead of one scalar pass per package; the engine asks
 // each stage what it can batch (core.AdvanceBatchStage,
 // core.CheckBatchStage) instead of hard-coding the LSTM. Shard input
-// channels are bounded: a saturated engine pushes back on Submit instead
-// of growing without bound.
+// channels are bounded: a saturated engine pushes back on SubmitBatchFor
+// (or sheds on TrySubmitBatchFor) instead of growing without bound.
 package engine
 
 import (
@@ -47,20 +51,15 @@ type Config struct {
 	// MaxBatch caps the micro-batch width of one batched stage pass.
 	// Default: 64.
 	MaxBatch int
-	// QueueDepth bounds each shard's input channel; a full shard blocks
-	// Submit (backpressure). Default: 4 * MaxBatch.
+	// QueueDepth bounds each shard's input channel, in admitted bursts; a
+	// full shard blocks SubmitBatchFor (backpressure). Default: 4 * MaxBatch.
 	QueueDepth int
 	// Stack describes the detection stack every stream applies. Empty
-	// means the stack equivalent of Mode (default: the paper's two-level
-	// bloom,lstm stack under first-hit fusion). Stack.Precision sets the
-	// default numeric tier; individual streams opt into a different tier
-	// with BindPrecision before their first package.
+	// means core.DefaultStackSpec(): the paper's two-level bloom,lstm stack
+	// under first-hit fusion. Stack.Precision sets the default numeric
+	// tier; individual streams opt into a different tier with
+	// BindPrecision before their first package.
 	Stack core.StackSpec
-	// Mode is the legacy level selector; it is consulted only when Stack
-	// is empty.
-	//
-	// Deprecated: describe the levels with Stack instead.
-	Mode core.Mode
 	// TickEnd, when non-nil, is called on the shard worker goroutine after
 	// each drained tick has been fully classified and flushed (and once
 	// more when the worker exits), with the shard index. It is the
@@ -71,9 +70,8 @@ type Config struct {
 	TickEnd func(shard int)
 }
 
-// withDefaults fills unset fields. An invalid legacy Mode is an error, as
-// it was before the stack refactor.
-func (c Config) withDefaults() (Config, error) {
+// withDefaults fills unset fields.
+func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -84,17 +82,9 @@ func (c Config) withDefaults() (Config, error) {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
 	if len(c.Stack.Stages) == 0 {
-		mode := c.Mode
-		if mode == 0 {
-			mode = core.ModeCombined
-		}
-		spec, err := core.SpecForMode(mode)
-		if err != nil {
-			return c, err
-		}
-		c.Stack = spec
+		c.Stack = core.DefaultStackSpec()
 	}
-	return c, nil
+	return c
 }
 
 // Result is one classified package.
@@ -121,30 +111,28 @@ type Result struct {
 // bounded queues, eventually the submitters.
 type Handler func(Result)
 
-// packet is one queued unit of work: a package of a stream (with the
-// framework that classifies it; nil means the engine default), a burst of
-// packages of one stream (pkgs non-nil, enqueued by the batch submit
-// paths as a single channel operation), a barrier marker (barrier
-// non-nil) that the worker acknowledges once everything queued before it
-// has been classified and flushed, or a release marker (release non-nil)
-// that drops the stream's shard state the same way.
+// packet is one queued unit of work: a burst of packages of one stream
+// (pkgs non-empty, with the framework that classifies it), a barrier marker
+// (barrier non-nil) that the worker acknowledges once everything queued
+// before it has been classified and flushed, or a release marker (release
+// non-nil) that drops the stream's shard state the same way.
 type packet struct {
 	stream string
-	pkg    *dataset.Package
-	// pkgs is a burst: the stream's packages in submission order. The
-	// engine owns the slice once the packet is enqueued.
+	// pkgs is the burst: the stream's packages in submission order. The
+	// worker only reads it.
 	pkgs []*dataset.Package
-	// pos is the worker-side wave cursor: how many packages of the packet
-	// have been classified this tick (1 marks a plain pkg done).
-	pos     int
-	fw      *core.Framework
-	barrier *sync.WaitGroup
-	release *sync.WaitGroup
+	// pos and next are the worker-side wave cursor (see processRun): how
+	// many packages of the burst have been classified, and the index of the
+	// stream's next packet in the same run (-1 for none).
+	pos, next int
+	fw        *core.Framework
+	barrier   *sync.WaitGroup
+	release   *sync.WaitGroup
 }
 
 // Engine is a running multi-stream detection engine. Create one with New,
-// feed it with Submit, stop it with Stop. The framework must not be mutated
-// (SetK, Update, …) while the engine runs.
+// feed it with SubmitBatchFor or TrySubmitBatchFor, stop it with Stop. The
+// framework must not be mutated (SetK, Update, …) while the engine runs.
 //
 // Stream state (a Session with its per-level states) is retained until the
 // stream is explicitly released — recurrent detection has no natural point
@@ -162,12 +150,12 @@ type Engine struct {
 	stopped atomic.Bool
 	// mu serializes submissions against Stop: submitters hold it shared
 	// for the duration of their channel send, and Stop takes it exclusive
-	// before closing the shard channels, so a racing Submit returns the
+	// before closing the shard channels, so a racing submit returns the
 	// stopped error instead of panicking on a closed channel.
 	mu sync.RWMutex
 	// bindings maps stream → *core.Framework, fixed by the stream's first
 	// submission. Rebinding a live stream to a different model would
-	// silently score it with the wrong weights, so SubmitFor enforces the
+	// silently score it with the wrong weights, so admission enforces the
 	// binding here, on the submit path, where it can return an error. A
 	// plain string-keyed map under bindMu instead of a sync.Map: sync.Map
 	// boxes the key on every Load/LoadOrStore, one heap allocation per
@@ -179,8 +167,8 @@ type Engine struct {
 	// means the configured Stack.Precision.
 	precisions map[string]core.Precision
 	// validated caches (framework, precision) pairs already proven to
-	// support the engine's stack, so SubmitFor pays the stack resolution
-	// once per pair instead of once per package.
+	// support the engine's stack, so admission pays the stack resolution
+	// once per pair instead of once per burst.
 	validated sync.Map
 	// firstPanic keeps the first handler/stage panic a shard worker
 	// recovered; Stop surfaces it once the workers have drained.
@@ -219,10 +207,7 @@ type validationKey struct {
 // resolve against the framework (levels beyond the built-in two need their
 // stage models trained; see core.Framework.TrainStages).
 func New(fw *core.Framework, cfg Config, handler Handler) (*Engine, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
+	cfg = cfg.withDefaults()
 	if _, err := fw.NewStack(cfg.Stack); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -260,79 +245,93 @@ func (e *Engine) shardFor(stream string) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// Submit enqueues one package of a stream, blocking while the stream's
-// shard queue is full (backpressure). Packages of one stream must be
-// submitted from one goroutine at a time to preserve stream order; distinct
-// streams may submit concurrently. Submitting during or after Stop returns
-// an error.
-func (e *Engine) Submit(stream string, pkg *dataset.Package) error {
-	return e.SubmitFor(nil, stream, pkg)
-}
-
-// SubmitFor is Submit with an explicit framework: the stream is classified
-// by fw instead of the engine default, letting one engine serve streams of
-// different scenarios — each with its own trained model — on shared shards.
-// The first package of a stream binds it to its framework for the lifetime
-// of the engine; a later submission of the same stream under a different
-// framework (nil counts as the default) is rejected with an error before
-// anything is enqueued — recurrent state is model-specific, so a rebound
-// stream would silently be scored with the wrong weights. fw must support
-// the engine's stack: a framework missing a level's stage model is
-// rejected here too. Within a shard, streams of distinct frameworks
-// micro-batch separately — batching never mixes weights — while per-stream
-// verdicts remain exactly those of a sequential core.Session over fw. A
-// nil fw means the engine's default framework.
-func (e *Engine) SubmitFor(fw *core.Framework, stream string, pkg *dataset.Package) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return err
-	}
-	if err := e.bindStream(stream, fw); err != nil {
-		return err
-	}
-	e.shardFor(stream).in <- packet{stream: stream, pkg: pkg, fw: fw}
-	return nil
-}
-
-// SubmitBatch enqueues a burst of packages of one stream, in order, as a
-// single operation; see SubmitBatchFor.
-func (e *Engine) SubmitBatch(stream string, pkgs []*dataset.Package) error {
-	return e.SubmitBatchFor(nil, stream, pkgs)
-}
-
-// SubmitBatchFor is SubmitFor amortized over a burst: the stopped check,
-// the stack validation, the stream→framework binding and the shard
-// channel send are each paid once for the whole burst instead of once per
-// package — the serving daemon's ingest loops use it to submit every
-// record already buffered on the wire in one call. The packages are
-// classified in slice order and interleave with other submissions exactly
-// as if each had been submitted individually at the moment of the call:
-// per-stream FIFO, barrier and release ordering, and per-stream verdicts
-// are identical to the equivalent SubmitFor sequence. The engine takes
-// ownership of pkgs — the caller must not reuse or mutate the slice after
-// a successful submit. An empty burst is a no-op that binds nothing.
-// Blocking, binding and error semantics are those of SubmitFor.
+// SubmitBatchFor admits a burst of packages of one stream, in order, as a
+// single queue operation, blocking while the stream's shard queue is full
+// (backpressure). It is the engine's blocking admission; TrySubmitBatchFor
+// is the shedding one, and both run through the same admission rules:
+//
+//   - fw classifies the stream; nil means the engine's default framework.
+//     fw must support the engine's stack at the stream's precision, proven
+//     once per (framework, precision) pair.
+//   - The first admitted burst binds the stream to its framework for the
+//     lifetime of the engine (or until Release). A later burst under a
+//     different framework (nil counts as the default) is rejected whole
+//     before anything is enqueued: recurrent state is model-specific, so a
+//     rebound stream would silently be scored with the wrong weights. The
+//     binding is checked before the burst is enqueued and recorded only
+//     after, so an admission that enqueues nothing binds nothing.
+//   - Packages of one stream must be admitted from one goroutine at a time
+//     to preserve stream order; distinct streams may submit concurrently.
+//     Per-stream verdicts are exactly those of a sequential core.Session
+//     over fw, in slice order, and barrier and release markers order
+//     against whole bursts.
+//
+// A burst of one package is the per-package case: callers that admit one
+// package at a time pass pkgs[i:i+1] of a slice they already hold, so no
+// slice is allocated per package. The engine never writes to pkgs, but it
+// reads it after the call returns, until the burst is classified: the
+// caller must not modify the slice's elements before then. An empty burst
+// is a no-op that binds nothing. Submitting during or after Stop returns an
+// error.
 func (e *Engine) SubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) error {
+	_, err := e.admit(fw, stream, pkgs, true)
+	return err
+}
+
+// TrySubmitBatchFor is SubmitBatchFor without blocking: a burst occupies one
+// slot of the stream's shard queue, and when the queue is full the whole
+// burst is shed and reported false instead of stalling the caller — the
+// in-path shape of the serving daemon's live ingest, where shedding beats
+// stalling the protocol path. All-or-nothing: a shed never splits a burst,
+// so per-stream verdict sequences stay prefixes of the full sequence per
+// admission decision, and a shed burst binds nothing. An empty burst
+// reports true without enqueueing or binding anything.
+func (e *Engine) TrySubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) (bool, error) {
+	return e.admit(fw, stream, pkgs, false)
+}
+
+// admit is the single admission path behind SubmitBatchFor (block) and
+// TrySubmitBatchFor (!block). It reports whether the burst was enqueued.
+func (e *Engine) admit(fw *core.Framework, stream string, pkgs []*dataset.Package, block bool) (bool, error) {
 	if len(pkgs) == 0 {
-		return nil
+		return true, nil
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.stopped.Load() {
-		return fmt.Errorf("engine: submit after Stop")
+		return false, fmt.Errorf("engine: submit after Stop")
 	}
 	if err := e.validateFor(fw, stream); err != nil {
-		return err
+		return false, err
 	}
-	if err := e.bindStream(stream, fw); err != nil {
-		return err
+	if fw == nil {
+		fw = e.fw
 	}
-	e.shardFor(stream).in <- packet{stream: stream, pkgs: pkgs, fw: fw}
-	return nil
+	e.bindMu.RLock()
+	prev, bound := e.bindings[stream]
+	e.bindMu.RUnlock()
+	if bound && prev != fw {
+		return false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
+	}
+	pkt := packet{stream: stream, pkgs: pkgs, fw: fw}
+	in := e.shardFor(stream).in
+	if block {
+		in <- pkt
+	} else {
+		select {
+		case in <- pkt:
+		default:
+			return false, nil
+		}
+	}
+	if !bound {
+		e.bindMu.Lock()
+		if _, ok := e.bindings[stream]; !ok {
+			e.bindings[stream] = fw
+		}
+		e.bindMu.Unlock()
+	}
+	return true, nil
 }
 
 // validateFor proves once per (framework, precision) pair that a
@@ -411,128 +410,6 @@ func (e *Engine) BindPrecision(stream string, p core.Precision) error {
 	return nil
 }
 
-// bindStream records (or checks) the stream→framework binding. nil
-// normalizes to the engine default, so Submit and SubmitFor(nil, …) agree.
-func (e *Engine) bindStream(stream string, fw *core.Framework) error {
-	if fw == nil {
-		fw = e.fw
-	}
-	e.bindMu.RLock()
-	prev, loaded := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if !loaded {
-		e.bindMu.Lock()
-		if prev, loaded = e.bindings[stream]; !loaded {
-			e.bindings[stream] = fw
-			prev = fw
-		}
-		e.bindMu.Unlock()
-	}
-	if prev != fw {
-		return fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	return nil
-}
-
-// TrySubmit is Submit without blocking: it reports false when the stream's
-// shard queue is full, letting in-path deployments shed load explicitly
-// instead of stalling the protocol path.
-func (e *Engine) TrySubmit(stream string, pkg *dataset.Package) (bool, error) {
-	return e.TrySubmitFor(nil, stream, pkg)
-}
-
-// TrySubmitFor is SubmitFor without blocking: the same validated-cache
-// stack check and stream→framework binding semantics, but a full shard
-// queue reports false instead of stalling the caller — the in-path shape of
-// the serving daemon's live ingest, where shedding a package beats stalling
-// the protocol path. Like SubmitFor, a nil fw means the engine default; a
-// shed (queue-full) probe never binds a stream that carried no traffic.
-func (e *Engine) TrySubmitFor(fw *core.Framework, stream string, pkg *dataset.Package) (bool, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return false, fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return false, err
-	}
-	target := fw
-	if target == nil {
-		target = e.fw
-	}
-	// Check the binding up front, but record it only once a package is
-	// actually enqueued.
-	e.bindMu.RLock()
-	prev, bound := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if bound && prev != target {
-		return false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	select {
-	case e.shardFor(stream).in <- packet{stream: stream, pkg: pkg, fw: fw}:
-		if !bound {
-			e.bindMu.Lock()
-			if _, ok := e.bindings[stream]; !ok {
-				e.bindings[stream] = target
-			}
-			e.bindMu.Unlock()
-		}
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// TrySubmitBatch is SubmitBatch without blocking; see TrySubmitBatchFor.
-func (e *Engine) TrySubmitBatch(stream string, pkgs []*dataset.Package) (bool, error) {
-	return e.TrySubmitBatchFor(nil, stream, pkgs)
-}
-
-// TrySubmitBatchFor is SubmitBatchFor with TrySubmitFor's shedding
-// admission: a burst occupies one slot of the stream's shard queue, and
-// when the queue is full the whole burst is shed (reported false) —
-// all-or-nothing, so a shed never splits a burst and per-stream verdict
-// sequences stay prefixes of the full sequence per admission decision.
-// Like TrySubmitFor, a shed probe never binds a stream that carried no
-// traffic; on a successful enqueue the engine owns pkgs. An empty burst
-// reports true without enqueueing or binding anything.
-func (e *Engine) TrySubmitBatchFor(fw *core.Framework, stream string, pkgs []*dataset.Package) (bool, error) {
-	if len(pkgs) == 0 {
-		return true, nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.stopped.Load() {
-		return false, fmt.Errorf("engine: submit after Stop")
-	}
-	if err := e.validateFor(fw, stream); err != nil {
-		return false, err
-	}
-	target := fw
-	if target == nil {
-		target = e.fw
-	}
-	e.bindMu.RLock()
-	prev, bound := e.bindings[stream]
-	e.bindMu.RUnlock()
-	if bound && prev != target {
-		return false, fmt.Errorf("engine: stream %q is already bound to a different framework", stream)
-	}
-	select {
-	case e.shardFor(stream).in <- packet{stream: stream, pkgs: pkgs, fw: fw}:
-		if !bound {
-			e.bindMu.Lock()
-			if _, ok := e.bindings[stream]; !ok {
-				e.bindings[stream] = target
-			}
-			e.bindMu.Unlock()
-		}
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
 // Release drops every trace of a stream — the shard's session state plus
 // the framework and precision bindings — so the stream ID can be reused
 // with fresh recurrent state (or a different model). It enqueues a release
@@ -540,11 +417,11 @@ func (e *Engine) TrySubmitBatchFor(fw *core.Framework, stream string, pkgs []*da
 // the shard to process it, so on return no in-flight package references the
 // state and a resubmission of the same ID starts a brand-new session.
 // Packages of the stream must not be submitted concurrently with Release
-// (the same single-writer rule Submit has). Release is how
+// (the same single-writer rule admission has). Release is how
 // connection-scoped deployments keep ID churn from growing memory without
 // bound: bind on accept, Release on close. Releasing an unknown stream is
-// a no-op. Like Submit it blocks while the shard queue is full, and errors
-// during or after Stop.
+// a no-op. Like SubmitBatchFor it blocks while the shard queue is full, and
+// errors during or after Stop.
 func (e *Engine) Release(stream string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -573,7 +450,7 @@ func (e *Engine) Release(stream string) error {
 // a completion point between phases; unlike Stop it can be called
 // repeatedly. Packages submitted concurrently with Barrier may land on
 // either side of it. Barrier blocks while shard queues are full, like
-// Submit, and returns an error during or after Stop.
+// SubmitBatchFor, and returns an error during or after Stop.
 func (e *Engine) Barrier() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -632,13 +509,11 @@ type shard struct {
 	// a stream's first packet of the tick — later packets depend on state
 	// the earlier ones will move).
 	tick uint64
-	// wave stamps streams within one wave of burst processing: a tick that
-	// contains bursts interleaves one package per stream per wave, so the
-	// micro-batch width of a multi-stream tick survives burst submission
-	// (processing a burst to completion would force a flush per package —
-	// the second package of a stream depends on the first one's queued
-	// Advance step).
-	wave  uint64
+	// runs stamps streams seen in the current run (see processRun); waves
+	// is processRun's scratch list of the streams that still have packages
+	// in the run.
+	runs  uint64
+	waves []*stream
 	stats shardCounters
 }
 
@@ -670,9 +545,11 @@ type stream struct {
 	pending bool
 	// tickStamp marks the tick that already precomputed for this stream.
 	tickStamp uint64
-	// waveStamp marks the wave that already classified a package of this
-	// stream (burst interleaving; see shard.wave).
-	waveStamp uint64
+	// runStamp marks the run that already chained this stream's packets;
+	// head and tail index its first unfinished and its last packet in that
+	// run (head -1 once the stream's packages are all classified).
+	runStamp   uint64
+	head, tail int
 }
 
 func newShard(id int, e *Engine) *shard {
@@ -695,7 +572,7 @@ func (s *shard) batchFor(fw *core.Framework, prec core.Precision) *fwBatch {
 	}
 	stack, err := fw.NewStack(s.e.stackFor(prec))
 	if err != nil {
-		// SubmitFor/BindPrecision validated the pair before enqueueing
+		// Admission/BindPrecision validated the pair before enqueueing
 		// anything for it.
 		panic(fmt.Sprintf("engine: stack for bound framework: %v", err))
 	}
@@ -710,18 +587,30 @@ func (s *shard) batchFor(fw *core.Framework, prec core.Precision) *fwBatch {
 	return fb
 }
 
+// streamFor returns a stream's shard state, creating its session under fw
+// on first use.
+func (s *shard) streamFor(id string, fw *core.Framework) *stream {
+	st := s.streams[id]
+	if st == nil {
+		fb := s.batchFor(fw, s.e.precisionOf(id))
+		st = &stream{sess: fb.stack.NewSession(), fb: fb}
+		s.streams[id] = st
+		s.stats.streams.Add(1)
+	}
+	return st
+}
+
 // run is the shard worker loop: block for one packet, drain whatever else
 // is queued into the tick buffer (bounded by the queue depth), precompute
-// the tick's batchable Check scores, classify every packet, and flush the
-// batched Advance passes before blocking again. A tick without bursts
-// takes the plain per-packet pass; one with a burst goes through
-// processBurst so cross-stream micro-batching survives. Either way the
-// tick ends with a flush and, when configured, the TickEnd callback.
+// the tick's batchable Check scores, and classify the tick. The tick splits
+// into runs of bursts separated by barrier/release markers: each run is
+// fully classified (processRun) before its following marker is handled, so
+// marker ordering ("everything queued before") is exact. The tick ends with
+// a flush and, when configured, the TickEnd callback.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for pkt := range s.in {
 		tick := append(s.tickBuf[:0], pkt)
-		burst := pkt.pkgs != nil
 	drain:
 		for len(tick) < cap(tick) {
 			select {
@@ -730,136 +619,115 @@ func (s *shard) run(wg *sync.WaitGroup) {
 					break drain
 				}
 				tick = append(tick, more)
-				burst = burst || more.pkgs != nil
 			default:
 				break drain
 			}
 		}
 		s.safe(func() { s.precompute(tick) })
-		if burst {
-			s.processBurst(tick)
-		} else {
-			for _, p := range tick {
-				s.process(p)
+		for i := 0; i < len(tick); {
+			if len(tick[i].pkgs) == 0 {
+				s.marker(tick[i])
+				i++
+				continue
 			}
+			j := i + 1
+			for j < len(tick) && len(tick[j].pkgs) > 0 {
+				j++
+			}
+			run := tick[i:j]
+			s.safe(func() { s.processRun(run) })
+			i = j
 		}
-		s.safe(s.flush)
-		if fn := s.e.cfg.TickEnd; fn != nil {
-			s.safe(func() { fn(s.id) })
-		}
+		s.endTick()
 	}
+	s.endTick()
+}
+
+// endTick completes the tick's batched steps and runs the TickEnd callback.
+func (s *shard) endTick() {
 	s.safe(s.flush)
 	if fn := s.e.cfg.TickEnd; fn != nil {
 		s.safe(func() { fn(s.id) })
 	}
 }
 
-// processBurst classifies one tick that contains at least one burst
-// packet. The tick splits into runs of package-carrying packets separated
-// by barrier/release markers: each run is fully classified before its
-// following marker is processed, so marker ordering ("everything queued
-// before") holds exactly as in the per-packet pass.
-func (s *shard) processBurst(tick []packet) {
-	for i := 0; i < len(tick); {
-		if tick[i].barrier != nil || tick[i].release != nil {
-			s.process(tick[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(tick) && tick[j].barrier == nil && tick[j].release == nil {
-			j++
-		}
-		s.processRun(tick[i:j])
-		i = j
-	}
-}
-
-// processRun classifies a marker-free run of packets in waves: each wave
-// walks the run in queue order and classifies at most one package per
-// stream, so the streams of the run keep advancing together through the
-// micro-batch (one flush per wave, not one per package) while per-stream
-// order is exact — a stream's earliest non-exhausted packet always wins
-// the wave, so packages classify in submission order.
+// processRun classifies a marker-free run of bursts in waves: each wave
+// classifies the next package of every stream that still has packages in
+// the run, in order of the streams' first appearance, so the streams of the
+// run keep advancing together through the micro-batch (one flush per wave,
+// not one per package — the second package of a stream depends on the
+// first one's queued Advance step). Per-stream order is exact: a stream's
+// packets are chained in queue order (packet.next) and consumed front to
+// back. A wave costs one step per stream it serves and every step
+// classifies a package, so the run costs O(packages) however its bursts are
+// shaped — a tick of many one-package bursts of one stream included.
 func (s *shard) processRun(run []packet) {
-	remaining := 0
+	s.runs++
+	waves := s.waves[:0]
 	for i := range run {
-		if run[i].pkgs != nil {
-			remaining += len(run[i].pkgs)
+		p := &run[i]
+		st := s.streamFor(p.stream, p.fw)
+		p.next = -1
+		if st.runStamp != s.runs {
+			st.runStamp = s.runs
+			st.head = i
+			waves = append(waves, st)
 		} else {
-			remaining++
+			run[st.tail].next = i
 		}
+		st.tail = i
 	}
-	for remaining > 0 {
-		s.wave++
-		for i := range run {
-			p := &run[i]
-			var pkg *dataset.Package
-			if p.pkgs != nil {
-				if p.pos >= len(p.pkgs) {
-					continue
-				}
-				pkg = p.pkgs[p.pos]
-			} else {
-				if p.pos > 0 {
-					continue
-				}
-				pkg = p.pkg
+	for len(waves) > 0 {
+		live := waves[:0]
+		for _, st := range waves {
+			p := &run[st.head]
+			s.classify(p.stream, st, p.pkgs[p.pos])
+			if p.pos++; p.pos == len(p.pkgs) {
+				st.head = p.next
 			}
-			if st := s.streams[p.stream]; st != nil && st.waveStamp == s.wave {
-				continue
-			}
-			st := s.processOne(p.stream, pkg, p.fw)
-			p.pos++
-			remaining--
-			if st != nil {
-				st.waveStamp = s.wave
+			if st.head >= 0 {
+				live = append(live, st)
 			}
 		}
+		waves = live
 	}
+	s.waves = waves
 }
 
-// processOne is handleOne behind the shard's panic guard (the burst-path
-// counterpart of process): it returns the stream's state so the wave loop
-// can stamp it even when the handler panicked mid-package.
-func (s *shard) processOne(id string, pkg *dataset.Package, fw *core.Framework) (st *stream) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recovered(r)
-			st = s.streams[id]
-		}
-	}()
-	return s.handleOne(id, pkg, fw)
-}
-
-// process runs handle behind a panic guard: a panicking Handler (or stage)
+// classify runs handle behind a panic guard: a panicking Handler (or stage)
 // must not kill the shard goroutine — every stream pinned to this shard
-// would wedge while Submit keeps blocking on the full queue. The panic is
-// counted in HandlerPanics, the first one is kept for Stop, and barrier and
-// release markers are still acknowledged so Barrier and Release cannot
-// deadlock on a panicked tick. The panicking package's own stream may be
-// left with a partially advanced session; every other stream keeps exact
-// sequential semantics.
-func (s *shard) process(pkt packet) {
+// would wedge while admission keeps blocking on the full queue. The panic
+// is counted in HandlerPanics and the first one is kept for Stop. The
+// panicking package's own stream may be left with a partially advanced
+// session; every other stream keeps exact sequential semantics.
+func (s *shard) classify(id string, st *stream, pkg *dataset.Package) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.recovered(r)
-			switch {
-			case pkt.barrier != nil:
-				pkt.barrier.Done()
-			case pkt.release != nil:
-				// The marker must still release: the panic came from the
-				// pre-release flush, not from the map drop.
-				s.dropStream(pkt.stream)
-				pkt.release.Done()
-			}
 		}
 	}()
-	s.handle(pkt)
+	s.handle(id, st, pkg)
 }
 
-// safe runs fn behind the same panic guard as process, for the shared
-// per-tick phases (precompute, flush) that are not tied to one packet.
+// marker acknowledges a barrier or release marker. Shard FIFO ordered it
+// behind everything queued before it, all of which has been classified;
+// flushing completes their batched steps before the waiter is released (a
+// released session is never advanced afterwards). The flush runs behind
+// the panic guard, so a panicking stage cannot leave Barrier or Release
+// waiting forever.
+func (s *shard) marker(pkt packet) {
+	s.safe(s.flush)
+	if pkt.release != nil {
+		s.dropStream(pkt.stream)
+		pkt.release.Done()
+		return
+	}
+	pkt.barrier.Done()
+}
+
+// safe runs fn behind the same panic guard as classify, for the shared
+// per-tick phases (precompute, flush, TickEnd) that are not tied to one
+// package.
 func (s *shard) safe(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -883,11 +751,11 @@ func (s *shard) dropStream(stream string) {
 }
 
 // precompute batches the Check-phase work of the tick: for the first
-// packet of every stream in the tick, each check-batchable stage (the
+// package of every stream in the tick, each check-batchable stage (the
 // PCA/GMM window levels) scores the upcoming package through its batched
 // kernel and deposits the result in the stream state, where the
-// sequential Check phase picks it up. Later packets of the same stream
-// score inline — their stage state depends on the earlier packets'
+// sequential Check phase picks it up. Later packages of the same stream
+// score inline — their stage state depends on the earlier packages'
 // Advance — and take the bitwise-identical scalar path.
 func (s *shard) precompute(tick []packet) {
 	// Nothing to do unless some framework's stack batches Check scores —
@@ -907,15 +775,9 @@ func (s *shard) precompute(tick []packet) {
 	s.tick++
 	queued := false
 	for _, pkt := range tick {
-		pkg := pkt.pkg
-		if pkg == nil {
-			if len(pkt.pkgs) == 0 {
-				// Barrier and release markers carry no package to score.
-				continue
-			}
-			// Only a burst's first package is precomputable — the later
-			// ones depend on state its Advance will move.
-			pkg = pkt.pkgs[0]
+		if len(pkt.pkgs) == 0 {
+			// Barrier and release markers carry no package to score.
+			continue
 		}
 		st := s.streams[pkt.stream]
 		if st == nil || st.tickStamp == s.tick {
@@ -925,7 +787,7 @@ func (s *shard) precompute(tick []packet) {
 			continue
 		}
 		st.tickStamp = s.tick
-		st.fb.batch.QueueCheck(st.sess, pkg)
+		st.fb.batch.QueueCheck(st.sess, pkt.pkgs[0])
 		queued = true
 	}
 	if !queued {
@@ -942,41 +804,9 @@ func (s *shard) precompute(tick []packet) {
 	}
 }
 
-// handle classifies one package against its stream's session and defers the
-// batchable Advance steps into the micro-batch.
-func (s *shard) handle(pkt packet) {
-	if pkt.barrier != nil {
-		// Everything queued before the barrier has been handled (shard FIFO);
-		// flush so their batched steps are complete before acknowledging.
-		s.flush()
-		pkt.barrier.Done()
-		return
-	}
-	if pkt.release != nil {
-		// Shard FIFO ordered the marker behind every in-flight package of
-		// the stream; flushing completes their batched steps before the
-		// state drops, so a released session is never advanced afterwards.
-		s.flush()
-		s.dropStream(pkt.stream)
-		pkt.release.Done()
-		return
-	}
-	s.handleOne(pkt.stream, pkt.pkg, pkt.fw)
-}
-
-// handleOne classifies one package of one stream: the shared per-package
-// core of the per-packet and burst-wave paths.
-func (s *shard) handleOne(id string, pkg *dataset.Package, fw *core.Framework) *stream {
-	if fw == nil {
-		fw = s.e.fw
-	}
-	st := s.streams[id]
-	if st == nil {
-		fb := s.batchFor(fw, s.e.precisionOf(id))
-		st = &stream{sess: fb.stack.NewSession(), fb: fb}
-		s.streams[id] = st
-		s.stats.streams.Add(1)
-	}
+// handle classifies one package of one stream against its session and
+// defers the batchable Advance steps into the micro-batch.
+func (s *shard) handle(id string, st *stream, pkg *dataset.Package) {
 	if st.pending || st.fb.batch.AdvanceFull() {
 		s.flush()
 	}
@@ -992,7 +822,6 @@ func (s *shard) handleOne(id string, pkg *dataset.Package, fw *core.Framework) *
 		s.e.handler(Result{Stream: id, Seq: st.seq, Shard: s.id, Package: pkg, Verdict: v})
 	}
 	st.seq++
-	return st
 }
 
 // flush advances every queued stream through one batched pass per stage

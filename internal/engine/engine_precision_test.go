@@ -70,8 +70,8 @@ func TestEngineMixedPrecisionStreams(t *testing.T) {
 			}
 		}
 	}
-	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,8 +133,8 @@ func TestEngineConfigPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pkgs {
-		if err := e.Submit("plc-one", p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, "plc-one", pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

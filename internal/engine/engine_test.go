@@ -59,7 +59,9 @@ func streamKey(i, n int) string { return fmt.Sprintf("plc-%03d", i%n) }
 
 // TestEngineMatchesSequentialSessions is the engine's core guarantee: for
 // every stream, the concurrent sharded engine produces exactly the verdicts
-// a sequential core.Session would, package for package.
+// a sequential core.Session would, package for package. Rows are keyed by
+// the paper's ablations (mode): combined is the default bloom,lstm stack,
+// the single-level rows run the lstm and bloom stacks alone.
 func TestEngineMatchesSequentialSessions(t *testing.T) {
 	fw, split := testFramework(t)
 	pkgs := split.Test
@@ -80,6 +82,10 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 	} {
 		name := fmt.Sprintf("shards=%d/streams=%d/mode=%d", tc.shards, tc.streams, tc.mode)
 		t.Run(name, func(t *testing.T) {
+			spec, err := core.SpecForMode(tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Expected verdicts: one sequential session per stream.
 			want := make(map[string][]core.Verdict)
 			sessions := make(map[string]*core.Session)
@@ -87,7 +93,9 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 				key := streamKey(i, tc.streams)
 				sess := sessions[key]
 				if sess == nil {
-					sess = fw.NewSessionMode(tc.mode)
+					if sess, err = fw.NewStackSession(spec); err != nil {
+						t.Fatal(err)
+					}
 					sessions[key] = sess
 				}
 				want[key] = append(want[key], sess.Classify(p))
@@ -97,7 +105,7 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 			var mu sync.Mutex
 			got := make(map[string][]core.Verdict)
 			e, err := engine.New(fw, engine.Config{
-				Shards: tc.shards, MaxBatch: 16, QueueDepth: 32, Mode: tc.mode,
+				Shards: tc.shards, MaxBatch: 16, QueueDepth: 32, Stack: spec,
 			}, func(r engine.Result) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -109,8 +117,8 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range pkgs {
-				if err := e.Submit(streamKey(i, tc.streams), p); err != nil {
+			for i := range pkgs {
+				if err := e.SubmitBatchFor(nil, streamKey(i, tc.streams), pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -135,6 +143,14 @@ func TestEngineMatchesSequentialSessions(t *testing.T) {
 	}
 }
 
+// levelTotal sums a per-level verdict count.
+func levelTotal(byLevel [core.NumLevels]uint64) (n uint64) {
+	for _, c := range byLevel {
+		n += c
+	}
+	return n
+}
+
 // TestEngineStats checks the per-shard counters and their aggregation.
 func TestEngineStats(t *testing.T) {
 	fw, split := testFramework(t)
@@ -148,8 +164,8 @@ func TestEngineStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,9 +175,8 @@ func TestEngineStats(t *testing.T) {
 	if st.Packages != uint64(len(pkgs)) {
 		t.Errorf("Packages = %d, want %d", st.Packages, len(pkgs))
 	}
-	if st.Clean+st.PackageLevel+st.SeriesLevel != st.Packages {
-		t.Errorf("levels %d+%d+%d do not sum to %d packages",
-			st.Clean, st.PackageLevel, st.SeriesLevel, st.Packages)
+	if levelTotal(st.ByLevel) != st.Packages {
+		t.Errorf("levels %v do not sum to %d packages", st.ByLevel, st.Packages)
 	}
 	if st.Streams != streams {
 		t.Errorf("Streams = %d, want %d", st.Streams, streams)
@@ -182,7 +197,7 @@ func TestEngineStats(t *testing.T) {
 	var sum uint64
 	for _, ss := range e.ShardStats() {
 		sum += ss.Packages
-		if ss.Clean+ss.PackageLevel+ss.SeriesLevel != ss.Packages {
+		if levelTotal(ss.ByLevel) != ss.Packages {
 			t.Errorf("shard %d: levels do not sum to packages", ss.Shard)
 		}
 		if ss.QueueCap == 0 {
@@ -195,7 +210,7 @@ func TestEngineStats(t *testing.T) {
 }
 
 // TestEngineBackpressure fills a shard whose worker is blocked in the
-// handler and checks that TrySubmit sheds load instead of queueing
+// handler and checks that TrySubmitBatchFor sheds load instead of queueing
 // unboundedly.
 func TestEngineBackpressure(t *testing.T) {
 	fw, split := testFramework(t)
@@ -214,19 +229,19 @@ func TestEngineBackpressure(t *testing.T) {
 	}
 
 	// First package occupies the worker inside the handler...
-	if err := e.Submit("dev", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", pkgs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	<-first
 	// ...so the queue can be filled to capacity behind it.
 	for i := 1; i <= 4; i++ {
-		ok, err := e.TrySubmit("dev", pkgs[i])
+		ok, err := e.TrySubmitBatchFor(nil, "dev", pkgs[i:i+1])
 		if err != nil || !ok {
-			t.Fatalf("TrySubmit %d: ok=%v err=%v, want queued", i, ok, err)
+			t.Fatalf("TrySubmitBatchFor %d: ok=%v err=%v, want queued", i, ok, err)
 		}
 	}
-	if ok, _ := e.TrySubmit("dev", pkgs[5]); ok {
-		t.Error("TrySubmit succeeded on a full shard queue")
+	if ok, _ := e.TrySubmitBatchFor(nil, "dev", pkgs[5:6]); ok {
+		t.Error("TrySubmitBatchFor succeeded on a full shard queue")
 	}
 	if st := e.Stats(); st.QueueDepth != 4 {
 		t.Errorf("QueueDepth = %d with a full queue, want 4", st.QueueDepth)
@@ -284,9 +299,10 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			// Each producer owns its own streams: per-stream order only
 			// needs to hold within one submitter.
-			for i, p := range pkgs[pr*chunk : (pr+1)*chunk] {
+			mine := pkgs[pr*chunk : (pr+1)*chunk]
+			for i := range mine {
 				key := fmt.Sprintf("prod%d-dev%d", pr, i%3)
-				if err := e.Submit(key, p); err != nil {
+				if err := e.SubmitBatchFor(nil, key, mine[i:i+1]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -337,8 +353,8 @@ func TestEngineBarrier(t *testing.T) {
 		if phase == 2 {
 			hi = len(pkgs)
 		}
-		for _, p := range pkgs[lo:hi] {
-			if err := e.Submit("dev", p); err != nil {
+		for i := lo; i < hi; i++ {
+			if err := e.SubmitBatchFor(nil, "dev", pkgs[i:i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,19 +392,11 @@ func TestEngineSubmitAfterStop(t *testing.T) {
 	}
 	e.Stop()
 	e.Stop() // idempotent
-	if err := e.Submit("dev", split.Test[0]); err == nil {
-		t.Error("Submit after Stop did not error")
+	if err := e.SubmitBatchFor(nil, "dev", split.Test[:1]); err == nil {
+		t.Error("SubmitBatchFor after Stop did not error")
 	}
-	if ok, err := e.TrySubmit("dev", split.Test[0]); ok || err == nil {
-		t.Error("TrySubmit after Stop did not error")
-	}
-}
-
-// TestEngineRejectsBadMode verifies config validation.
-func TestEngineRejectsBadMode(t *testing.T) {
-	fw, _ := testFramework(t)
-	if _, err := engine.New(fw, engine.Config{Mode: core.Mode(99)}, nil); err == nil {
-		t.Error("engine accepted an unknown mode")
+	if ok, err := e.TrySubmitBatchFor(nil, "dev", split.Test[:1]); ok || err == nil {
+		t.Error("TrySubmitBatchFor after Stop did not error")
 	}
 }
 
@@ -411,28 +419,28 @@ func TestEngineStreamBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	pkg := split.Test[0]
+	one := split.Test[:1]
 
-	if err := e.SubmitFor(fw2, "tank-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "tank-1", one); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitFor(fw2, "tank-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "tank-1", one); err != nil {
 		t.Errorf("resubmission under the bound framework errored: %v", err)
 	}
-	if err := e.Submit("tank-1", pkg); err == nil {
+	if err := e.SubmitBatchFor(nil, "tank-1", one); err == nil {
 		t.Error("default-framework submit on a stream bound elsewhere was accepted")
 	}
-	if ok, err := e.TrySubmit("tank-1", pkg); ok || err == nil {
-		t.Error("TrySubmit on a stream bound elsewhere was accepted")
+	if ok, err := e.TrySubmitBatchFor(nil, "tank-1", one); ok || err == nil {
+		t.Error("TrySubmitBatchFor on a stream bound elsewhere was accepted")
 	}
 
-	if err := e.Submit("plc-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(nil, "plc-1", one); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitFor(fw, "plc-1", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw, "plc-1", one); err != nil {
 		t.Errorf("explicit default framework rejected on a default-bound stream: %v", err)
 	}
-	if err := e.SubmitFor(fw2, "plc-1", pkg); err == nil {
+	if err := e.SubmitBatchFor(fw2, "plc-1", one); err == nil {
 		t.Error("rebinding a default-bound stream to another framework was accepted")
 	}
 }

@@ -60,8 +60,8 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	// stopped and diverge immediately — the LSTM level abstains on a fresh
 	// stream's first package).
 	for pass := 0; pass < 2; pass++ {
-		for _, p := range pkgs {
-			if err := e.Submit("conn-1", p); err != nil {
+		for i := range pkgs {
+			if err := e.SubmitBatchFor(nil, "conn-1", pkgs[i:i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func TestEngineReleaseResetsStreamState(t *testing.T) {
 	if err := e.BindPrecision("conn-2", core.PrecisionF32); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn-2", pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "conn-2", pkgs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.BindPrecision("conn-2", core.PrecisionF64); err == nil {
@@ -139,25 +139,25 @@ func TestEngineReleaseRebindsFramework(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	pkg := split.Test[0]
+	one := split.Test[:1]
 
-	if err := e.SubmitFor(fw2, "conn", pkg); err != nil {
+	if err := e.SubmitBatchFor(fw2, "conn", one); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn", pkg); err == nil {
+	if err := e.SubmitBatchFor(nil, "conn", one); err == nil {
 		t.Fatal("default-framework submit on a bound stream was accepted")
 	}
 	if err := e.Release("conn"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("conn", pkg); err != nil {
+	if err := e.SubmitBatchFor(nil, "conn", one); err != nil {
 		t.Errorf("released stream could not rebind to the default framework: %v", err)
 	}
 }
 
 // TestEngineHandlerPanicRecovery: a panicking Handler must not kill its
 // shard goroutine — pre-fix it did, wedging every stream pinned to the
-// shard while Submit kept blocking on the full queue. The worker recovers,
+// shard while admission kept blocking on the full queue. The worker recovers,
 // counts the panic, keeps serving the other streams exactly, and Stop
 // surfaces the first panic value.
 func TestEngineHandlerPanicRecovery(t *testing.T) {
@@ -185,8 +185,8 @@ func TestEngineHandlerPanicRecovery(t *testing.T) {
 	// Both streams share the single shard; the panic on dev-a's second
 	// package must leave dev-b's sequence untouched.
 	streams := []string{"dev-a", "dev-b"}
-	for i, p := range pkgs {
-		if err := e.Submit(streams[i%2], p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, streams[i%2], pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestEngineReleaseSurvivesPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("dev", split.Test[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, "dev", split.Test[:1]); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -259,14 +259,14 @@ func TestEngineReleaseSurvivesPanic(t *testing.T) {
 	}
 }
 
-// TestEngineTrySubmitForValidation: TrySubmit used to skip the
-// (framework, precision) stack validation SubmitFor performs, so a
+// TestEngineTrySubmitForValidation: the shedding admission once skipped the
+// (framework, precision) stack validation the blocking one performs, so a
 // framework missing a level's stage model was quietly accepted and later
-// panicked the shard when the stack resolved. TrySubmitFor must run the
-// same validated-cache check and binding semantics.
+// panicked the shard when the stack resolved. TrySubmitBatchFor must run
+// the same validated-cache check and binding semantics.
 func TestEngineTrySubmitForValidation(t *testing.T) {
 	fw, split := testFramework(t)
-	pkg := split.Test[0]
+	one := split.Test[:1]
 
 	// A three-level stack whose pca stage needs a trained model; the engine
 	// default has it, the pristine fixture clone does not.
@@ -285,31 +285,31 @@ func TestEngineTrySubmitForValidation(t *testing.T) {
 	}
 	defer e.Stop()
 
-	// The fixture lacks Extra["pca"]: TrySubmitFor must reject it the way
-	// SubmitFor does, instead of enqueueing a package whose stack cannot
-	// resolve.
-	if ok, err := e.TrySubmitFor(fw, "bad", pkg); ok || err == nil {
-		t.Fatalf("TrySubmitFor accepted a framework without the pca stage model (ok=%v err=%v)", ok, err)
+	// The fixture lacks Extra["pca"]: TrySubmitBatchFor must reject it the
+	// way SubmitBatchFor does, instead of enqueueing a package whose stack
+	// cannot resolve.
+	if ok, err := e.TrySubmitBatchFor(fw, "bad", one); ok || err == nil {
+		t.Fatalf("TrySubmitBatchFor accepted a framework without the pca stage model (ok=%v err=%v)", ok, err)
 	}
 	// A rejected probe must not have bound the stream: the ID is still free
 	// for the default framework.
-	if ok, err := e.TrySubmit("bad", pkg); !ok || err != nil {
+	if ok, err := e.TrySubmitBatchFor(nil, "bad", one); !ok || err != nil {
 		t.Fatalf("rejected probe bound the stream (ok=%v err=%v)", ok, err)
 	}
 
 	// Positive path plus binding semantics, with a second valid framework.
 	fwPCA2 := cloneFramework(t, fwPCA)
-	if ok, err := e.TrySubmitFor(fwPCA2, "tenant", pkg); !ok || err != nil {
-		t.Fatalf("TrySubmitFor with a valid framework: ok=%v err=%v", ok, err)
+	if ok, err := e.TrySubmitBatchFor(fwPCA2, "tenant", one); !ok || err != nil {
+		t.Fatalf("TrySubmitBatchFor with a valid framework: ok=%v err=%v", ok, err)
 	}
-	if ok, err := e.TrySubmitFor(fwPCA2, "tenant", pkg); !ok || err != nil {
+	if ok, err := e.TrySubmitBatchFor(fwPCA2, "tenant", one); !ok || err != nil {
 		t.Fatalf("resubmission under the bound framework: ok=%v err=%v", ok, err)
 	}
-	if ok, err := e.TrySubmit("tenant", pkg); ok || err == nil {
-		t.Error("TrySubmit on a stream bound elsewhere was accepted")
+	if ok, err := e.TrySubmitBatchFor(nil, "tenant", one); ok || err == nil {
+		t.Error("TrySubmitBatchFor on a stream bound elsewhere was accepted")
 	}
-	if err := e.Submit("tenant", pkg); err == nil {
-		t.Error("Submit on a stream bound elsewhere was accepted")
+	if err := e.SubmitBatchFor(nil, "tenant", one); err == nil {
+		t.Error("SubmitBatchFor on a stream bound elsewhere was accepted")
 	}
 }
 
@@ -331,8 +331,8 @@ func TestEngineStatsSince(t *testing.T) {
 	defer e.Stop()
 
 	prev := e.Stats()
-	for _, p := range pkgs {
-		if err := e.Submit("dev", p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, "dev", pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,9 +354,8 @@ func TestEngineStatsSince(t *testing.T) {
 	if d.PerSecond() <= 0 {
 		t.Errorf("interval PerSecond = %v over a busy window, want > 0", d.PerSecond())
 	}
-	if d.Clean+d.PackageLevel+d.SeriesLevel != d.Packages {
-		t.Errorf("interval levels %d+%d+%d do not sum to %d",
-			d.Clean, d.PackageLevel, d.SeriesLevel, d.Packages)
+	if levelTotal(d.ByLevel) != d.Packages {
+		t.Errorf("interval levels %v do not sum to %d", d.ByLevel, d.Packages)
 	}
 
 	// An idle interval must rate at zero even though the lifetime counters
@@ -377,13 +376,13 @@ func TestEngineStatsSince(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitStopRace hammers Submit/TrySubmit from several goroutines
+// TestEngineSubmitStopRace hammers both admissions from several goroutines
 // while Stop races them: every submission must either land before the
 // shutdown or return the stopped error — never panic on a closed shard
 // channel.
 func TestEngineSubmitStopRace(t *testing.T) {
 	fw, split := testFramework(t)
-	pkg := split.Test[0]
+	one := split.Test[:1]
 
 	for iter := 0; iter < 25; iter++ {
 		e, err := engine.New(fw, engine.Config{Shards: 2, MaxBatch: 4, QueueDepth: 4}, nil)
@@ -399,9 +398,9 @@ func TestEngineSubmitStopRace(t *testing.T) {
 					stream := fmt.Sprintf("g%d-s%d", g, i%3)
 					var err error
 					if i%2 == 0 {
-						err = e.Submit(stream, pkg)
+						err = e.SubmitBatchFor(nil, stream, one)
 					} else {
-						_, err = e.TrySubmit(stream, pkg)
+						_, err = e.TrySubmitBatchFor(nil, stream, one)
 					}
 					if err != nil {
 						return // stopped: the only legal failure

@@ -9,8 +9,7 @@ import (
 
 // levelOverflow is the counter bucket for verdict levels outside the
 // core.Level space (an embedder-registered stage reporting a custom
-// level). Keeping them off LevelNone keeps Clean — and therefore
-// Anomalies() — honest.
+// level). Keeping them off LevelNone keeps Anomalies() honest.
 const levelOverflow = int(core.NumLevels)
 
 // levelIndex maps a verdict level into the per-level counter array,
@@ -64,9 +63,6 @@ type ShardStats struct {
 	// OtherLevels counts verdicts whose level falls outside the core.Level
 	// space (custom registered stages).
 	OtherLevels uint64
-	// Clean, PackageLevel and SeriesLevel are the classic two-level slices
-	// of ByLevel, kept for monitoring continuity.
-	Clean, PackageLevel, SeriesLevel uint64
 	// Batches counts batched Advance passes; Batched counts the deferred
 	// steps they advanced. Batched/Batches is the mean micro-batch width.
 	Batches, Batched uint64
@@ -74,12 +70,12 @@ type ShardStats struct {
 	// the scores they precomputed.
 	CheckBatches, CheckBatched uint64
 	// QueueDepth and QueueCap describe the shard's bounded input channel at
-	// snapshot time.
+	// snapshot time, in queued admissions (a burst counts as one).
 	QueueDepth, QueueCap int
 }
 
 // Anomalies is the number of packages flagged by any level.
-func (s ShardStats) Anomalies() uint64 { return s.Packages - s.Clean }
+func (s ShardStats) Anomalies() uint64 { return s.Packages - s.ByLevel[core.LevelNone] }
 
 // Stats is an engine-wide snapshot.
 type Stats struct {
@@ -94,17 +90,16 @@ type Stats struct {
 	// OtherLevels counts verdicts whose level falls outside the core.Level
 	// space (custom registered stages).
 	OtherLevels uint64
-	// Clean, PackageLevel and SeriesLevel are the classic two-level slices
-	// of ByLevel, kept for monitoring continuity.
-	Clean, PackageLevel, SeriesLevel uint64
-	// QueueDepth sums the queued-but-unprocessed packages across shards.
+	// QueueDepth sums the queued-but-unprocessed admissions across shards:
+	// a queued burst counts as one, whatever its width, as do barrier and
+	// release markers.
 	QueueDepth int
 	// Elapsed is the time since the engine started.
 	Elapsed time.Duration
 }
 
 // Anomalies is the number of packages flagged by any level.
-func (s Stats) Anomalies() uint64 { return s.Packages - s.Clean }
+func (s Stats) Anomalies() uint64 { return s.Packages - s.ByLevel[core.LevelNone] }
 
 // ActiveStreams is the number of streams currently holding engine state
 // (seen and not yet released).
@@ -142,9 +137,6 @@ func (s Stats) Since(prev Stats) Stats {
 		d.ByLevel[i] -= prev.ByLevel[i]
 	}
 	d.OtherLevels -= prev.OtherLevels
-	d.Clean -= prev.Clean
-	d.PackageLevel -= prev.PackageLevel
-	d.SeriesLevel -= prev.SeriesLevel
 	d.Elapsed -= prev.Elapsed
 	return d
 }
@@ -177,9 +169,6 @@ func (s *shard) snapshot() ShardStats {
 		st.ByLevel[i] = s.stats.byLevel[i].Load()
 	}
 	st.OtherLevels = s.stats.byLevel[levelOverflow].Load()
-	st.Clean = st.ByLevel[core.LevelNone]
-	st.PackageLevel = st.ByLevel[core.LevelPackage]
-	st.SeriesLevel = st.ByLevel[core.LevelTimeSeries]
 	return st
 }
 
@@ -214,9 +203,6 @@ func (e *Engine) Stats() Stats {
 		st.OtherLevels += ss.OtherLevels
 		st.QueueDepth += ss.QueueDepth
 	}
-	st.Clean = st.ByLevel[core.LevelNone]
-	st.PackageLevel = st.ByLevel[core.LevelPackage]
-	st.SeriesLevel = st.ByLevel[core.LevelTimeSeries]
 	st.Elapsed = time.Since(e.started)
 	return st
 }

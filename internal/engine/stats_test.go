@@ -25,7 +25,6 @@ func TestStatsSince(t *testing.T) {
 		Packages: 1000, Streams: 40, Released: 25, HandlerPanics: 3,
 		Batches: 100, Batched: 900, CheckBatches: 60, CheckBatched: 480,
 		ByLevel: byLevel(700, 200, 100), OtherLevels: 7,
-		Clean: 700, PackageLevel: 200, SeriesLevel: 100,
 		QueueDepth: 9, Elapsed: 10 * time.Second,
 	}
 
@@ -47,14 +46,12 @@ func TestStatsSince(t *testing.T) {
 				Packages: 400, Streams: 30, Released: 10, HandlerPanics: 1,
 				Batches: 40, Batched: 350, CheckBatches: 20, CheckBatched: 160,
 				ByLevel: byLevel(300, 70, 30), OtherLevels: 2,
-				Clean: 300, PackageLevel: 70, SeriesLevel: 30,
 				QueueDepth: 17, Elapsed: 4 * time.Second,
 			},
 			want: engine.Stats{
 				Packages: 600, Streams: 10, Released: 15, HandlerPanics: 2,
 				Batches: 60, Batched: 550, CheckBatches: 40, CheckBatched: 320,
 				ByLevel: byLevel(400, 130, 70), OtherLevels: 5,
-				Clean: 400, PackageLevel: 130, SeriesLevel: 70,
 				// Gauge: keeps cur's 9, prev's 17 is ignored.
 				QueueDepth: 9, Elapsed: 6 * time.Second,
 			},
@@ -84,7 +81,7 @@ func TestStatsSince(t *testing.T) {
 			if a, w := got.ActiveStreams(), got.Streams-got.Released; a != w {
 				t.Errorf("delta ActiveStreams = %d, want %d", a, w)
 			}
-			if a, w := got.Anomalies(), got.Packages-got.Clean; a != w {
+			if a, w := got.Anomalies(), got.Packages-got.ByLevel[core.LevelNone]; a != w {
 				t.Errorf("delta Anomalies = %d, want %d", a, w)
 			}
 			wantRate := 0.0
@@ -124,8 +121,8 @@ func TestStatsConcurrentRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	for i, p := range pkgs {
-		if err := e.Submit(streamKey(i, streams), p); err != nil {
+	for i := range pkgs {
+		if err := e.SubmitBatchFor(nil, streamKey(i, streams), pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +193,7 @@ func TestStatsConcurrentRelease(t *testing.T) {
 
 	// A released ID resubmits as a fresh stream: Streams grows, proving
 	// Release dropped the shard state rather than just hiding it.
-	if err := e.Submit(streamKey(0, streams), pkgs[0]); err != nil {
+	if err := e.SubmitBatchFor(nil, streamKey(0, streams), pkgs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Barrier(); err != nil {

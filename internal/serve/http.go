@@ -12,36 +12,20 @@ import (
 	"icsdetect/internal/engine"
 )
 
-// statsResponse is the /stats JSON document: lifetime and interval-delta
-// engine counters, per-shard detail, and the daemon's own counters. The
-// interval covers the window since the previous /stats scrape (Stats.Since),
-// so rates reflect current load instead of being diluted by idle lifetime —
-// the whole point of the Since bugfix.
+// statsResponse is the /stats JSON document: cumulative counters only —
+// engine-wide, per shard, the daemon's own and per subscriber — plus the
+// seconds since the engine started. Rates are the client's computation over
+// two scrapes (Δpackages / Δelapsed_seconds), so any number of scrapers can
+// poll without disturbing each other's windows.
 type statsResponse struct {
-	// Lifetime aggregates since engine start.
+	// Lifetime aggregates the engine counters since start.
 	Lifetime engine.Stats `json:"lifetime"`
-	// LifetimeRate is Lifetime.PerSecond().
-	LifetimeRate float64 `json:"lifetime_pkg_per_sec"`
-	// Interval is the delta since the previous /stats scrape.
-	Interval engine.Stats `json:"interval"`
-	// IntervalSeconds is the scrape window in seconds; IntervalRate is the
-	// mean classification rate over it.
-	IntervalSeconds float64 `json:"interval_seconds"`
-	IntervalRate    float64 `json:"interval_pkg_per_sec"`
-	// MeanBatch is the interval's mean micro-batch width.
-	MeanBatch float64 `json:"interval_mean_batch"`
+	// ElapsedSeconds is Lifetime.Elapsed in seconds.
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// Shards is the per-shard detail (queue depths are point-in-time).
 	Shards []engine.ShardStats `json:"shards"`
-	// Server is the daemon's connection/admission/subscriber counters;
-	// ServerInterval is its delta since the previous scrape
-	// (ServerStats.Since), in the same window as Interval.
-	Server         ServerStats `json:"server"`
-	ServerInterval ServerStats `json:"server_interval"`
-	// MeanIngestBurst and MeanPublishBatch are the interval's amortization
-	// widths: packages per engine admission call and events per published
-	// verdict frame.
-	MeanIngestBurst  float64 `json:"interval_mean_ingest_burst"`
-	MeanPublishBatch float64 `json:"interval_mean_publish_batch"`
+	// Server is the daemon's connection/admission/subscriber counters.
+	Server ServerStats `json:"server"`
 	// Subscribers is the per-subscriber detail: queue depth (frames
 	// pending), capacity and drops, point-in-time.
 	Subscribers []SubscriberStats `json:"subscribers"`
@@ -85,34 +69,16 @@ func (s *Server) ListenHTTP(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// handleStats serves the metrics snapshot. Interval deltas are scoped to
-// this endpoint's scrape cadence: each call closes the window the previous
-// call opened.
+// handleStats serves the cumulative metrics snapshot; it keeps no state
+// between scrapes.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cur := s.eng.Stats()
-	curServer := s.Stats()
-	now := time.Now()
-	s.statsMu.Lock()
-	prev, prevServer, prevTime := s.lastStats, s.lastServer, s.lastTime
-	s.lastStats, s.lastServer, s.lastTime = cur, curServer, now
-	s.statsMu.Unlock()
-
-	delta := cur.Since(prev)
-	serverDelta := curServer.Since(prevServer)
-	window := now.Sub(prevTime)
+	st := s.eng.Stats()
 	resp := statsResponse{
-		Lifetime:         cur,
-		LifetimeRate:     cur.PerSecond(),
-		Interval:         delta,
-		IntervalSeconds:  window.Seconds(),
-		IntervalRate:     delta.PerSecond(),
-		MeanBatch:        delta.MeanBatch(),
-		Shards:           s.eng.ShardStats(),
-		Server:           curServer,
-		ServerInterval:   serverDelta,
-		MeanIngestBurst:  serverDelta.MeanIngestBurst(),
-		MeanPublishBatch: serverDelta.MeanPublishBatch(),
-		Subscribers:      s.SubscriberStats(),
+		Lifetime:       st,
+		ElapsedSeconds: st.Elapsed.Seconds(),
+		Shards:         s.eng.ShardStats(),
+		Server:         s.Stats(),
+		Subscribers:    s.SubscriberStats(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

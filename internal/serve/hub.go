@@ -59,9 +59,13 @@ type hub struct {
 
 // subscriber is one verdict stream consumer.
 type subscriber struct {
-	conn  net.Conn
-	ch    chan *frame
-	drops atomic.Uint64
+	conn net.Conn
+	// greeting is written ahead of the first frame (the handshake's OK
+	// status), so the subscriber is registered before the peer learns it
+	// is subscribed.
+	greeting []byte
+	ch       chan *frame
+	drops    atomic.Uint64
 }
 
 func newHub(buffer int, writeTimeout time.Duration) *hub {
@@ -99,10 +103,11 @@ func (h *hub) unref(f *frame) {
 	}
 }
 
-// add registers a handshaken subscriber connection and starts its writer.
-// It reports false when the hub has already shut down.
-func (h *hub) add(conn net.Conn) bool {
-	sub := &subscriber{conn: conn, ch: make(chan *frame, h.buffer)}
+// add registers a subscriber connection and starts its writer, which sends
+// greeting (if any) before any frame. It reports false when the hub has
+// already shut down.
+func (h *hub) add(conn net.Conn, greeting []byte) bool {
+	sub := &subscriber{conn: conn, greeting: greeting, ch: make(chan *frame, h.buffer)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -182,14 +187,23 @@ func (h *hub) publishFrame(f *frame) {
 	h.mu.Unlock()
 }
 
-// write is the per-subscriber writer loop: it streams queued frames
-// through a buffered writer, flushing whenever the queue runs dry, and
-// exits when the hub closes its channel (flushing first) or the peer
-// stops accepting writes — at the armed deadline, for a wedged peer under
-// a write timeout.
+// write is the per-subscriber writer loop: it sends the greeting, then
+// streams queued frames through a buffered writer, flushing whenever the
+// queue runs dry, and exits when the hub closes its channel (flushing
+// first) or the peer stops accepting writes — at the armed deadline, for a
+// wedged peer under a write timeout.
 func (h *hub) write(sub *subscriber) {
 	defer h.wg.Done()
 	defer sub.conn.Close()
+	if len(sub.greeting) > 0 {
+		if h.writeTimeout > 0 {
+			sub.conn.SetWriteDeadline(time.Now().Add(h.writeTimeout))
+		}
+		if _, err := sub.conn.Write(sub.greeting); err != nil {
+			h.abandon(sub)
+			return
+		}
+	}
 	bw := bufio.NewWriter(sub.conn)
 	for f := range sub.ch {
 		if h.writeTimeout > 0 {

@@ -25,8 +25,8 @@ func testEvent(stream string, seq uint64) []byte {
 }
 
 // publishOne publishes one pre-encoded event as a single-event frame —
-// the per-package fan-out shape, and the granularity the conservation
-// arithmetic of these tests is written in.
+// the granularity the conservation arithmetic of these tests is written
+// in.
 func publishOne(h *hub, b []byte) {
 	f := h.newFrame()
 	f.buf = append(f.buf, b...)
@@ -42,12 +42,12 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 
 	slowSrv, slowCli := net.Pipe() // nobody reads slowCli: writes park forever
 	defer slowCli.Close()
-	if !h.add(slowSrv) {
+	if !h.add(slowSrv, nil) {
 		t.Fatal("add slow subscriber")
 	}
 
 	fastSrv, fastCli := net.Pipe()
-	if !h.add(fastSrv) {
+	if !h.add(fastSrv, nil) {
 		t.Fatal("add fast subscriber")
 	}
 	var gotMu sync.Mutex
@@ -122,7 +122,7 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 func TestHubSubscriberErrorRemoves(t *testing.T) {
 	h := newHub(4, 0)
 	srv, cli := net.Pipe()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 	cli.Close() // next write errors
@@ -184,7 +184,7 @@ func (c *wedgedConn) SetWriteDeadline(t time.Time) error { return nil }
 func TestHubWriterErrorDrainsQueue(t *testing.T) {
 	h := newHub(8, 0)
 	conn := newWedgedConn()
-	if !h.add(conn) {
+	if !h.add(conn, nil) {
 		t.Fatal("add")
 	}
 
@@ -234,7 +234,7 @@ func TestHubWriterErrorDrainsQueue(t *testing.T) {
 func TestHubCoalescedFrameDelivery(t *testing.T) {
 	h := newHub(4, 0)
 	srv, cli := net.Pipe()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 
@@ -284,7 +284,7 @@ func TestHubSubscriberWriteTimeout(t *testing.T) {
 	h := newHub(8, 50*time.Millisecond)
 	srv, cli := net.Pipe() // nobody reads cli: writes park until their deadline
 	defer cli.Close()
-	if !h.add(srv) {
+	if !h.add(srv, nil) {
 		t.Fatal("add")
 	}
 
@@ -302,21 +302,23 @@ func TestHubSubscriberWriteTimeout(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Conservation across the abandon re-count: every event published
-	// while the subscriber was attached is either delivered (reached the
-	// writer before the failure) or dropped — at enqueue on the full
-	// queue, or re-counted when abandon drained the rest.
-	if got, want := h.delivered.Load()+h.drops.Load(), h.publishedEvents.Load(); got != want {
-		t.Errorf("delivered+drops = %d, want %d (published events)", got, want)
-	}
-	if h.drops.Load() == 0 {
-		t.Error("abandoning a wedged subscriber re-counted no drops")
-	}
 	// With the subscriber long gone, close is immediate.
 	start := time.Now()
 	h.close(10 * time.Second)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("close took %v despite the wedged subscriber being abandoned", elapsed)
+	}
+	// Conservation across the abandon re-count: every event published
+	// while the subscriber was attached is either delivered (reached the
+	// writer before the failure) or dropped — at enqueue on the full
+	// queue, or re-counted when abandon drained the rest. Read after close,
+	// which waits for the writer: the count above drops to zero before
+	// abandon finishes moving events from delivered to drops.
+	if got, want := h.delivered.Load()+h.drops.Load(), h.publishedEvents.Load(); got != want {
+		t.Errorf("delivered+drops = %d, want %d (published events)", got, want)
+	}
+	if h.drops.Load() == 0 {
+		t.Error("abandoning a wedged subscriber re-counted no drops")
 	}
 }
 
@@ -328,7 +330,7 @@ func TestHubAddAfterClose(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	defer cli.Close()
-	if h.add(srv) {
+	if h.add(srv, nil) {
 		t.Error("add succeeded on a closed hub")
 	}
 	h.close(time.Second) // idempotent

@@ -9,15 +9,15 @@
 //   - Ingest (this file): a connection handshakes with an 8-byte magic,
 //     a version, a mode byte and three uvarint-prefixed strings (stream ID,
 //     model name, precision), then streams either a recorded ICSTRACE
-//     byte stream (replay mode, admitted with blocking SubmitFor — a
-//     saturated engine pushes back on the socket) or raw Modbus/TCP
-//     frames (live mode, admitted with TrySubmitFor — an in-path tap
+//     byte stream (replay mode, admitted with blocking SubmitBatchFor —
+//     a saturated engine pushes back on the socket) or raw Modbus/TCP
+//     frames (live mode, admitted with TrySubmitBatchFor — an in-path tap
 //     sheds rather than stalls the protocol path).
 //   - Verdicts: a subscriber handshakes with its own magic and then
 //     receives every engine.Result as a length-prefixed binary event,
 //     through a per-subscriber bounded buffer with slow-consumer drop
 //     accounting (see hub.go).
-//   - HTTP ops: health, interval-delta metrics over engine.ShardStats,
+//   - HTTP ops: health, cumulative metrics over engine.ShardStats,
 //     and model hot-swap (see http.go).
 //
 // All multi-byte integers are big-endian; "uvarint"/"varint" are the
@@ -170,12 +170,16 @@ func readHello(br *bufio.Reader) (hello, error) {
 // and message. Write errors are returned for the caller to log or ignore —
 // the peer may already be gone.
 func writeStatus(w io.Writer, code byte, msg string) error {
+	_, err := w.Write(appendStatus(nil, code, msg))
+	return err
+}
+
+// appendStatus appends the wire form of a status answer to b.
+func appendStatus(b []byte, code byte, msg string) []byte {
 	if len(msg) > maxStringLen {
 		msg = msg[:maxStringLen]
 	}
-	b := append(make([]byte, 0, 2+len(msg)), code)
-	_, err := w.Write(appendString(b, msg))
-	return err
+	return appendString(append(b, code), msg)
 }
 
 // readStatus parses a status answer; a non-zero code comes back as an

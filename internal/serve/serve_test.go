@@ -3,9 +3,11 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -131,10 +133,9 @@ func newTestServer(t *testing.T, cfg serve.Config, corpora []*serveCorpus) (srv 
 // Shutdown, and every stream's verdicts — received over the subscription
 // socket — match the committed goldens byte for byte.
 func TestServeReplayEndToEnd(t *testing.T) {
-	// The drill runs twice: at full scale over the default burst ingest
-	// path (SubmitBatchFor admission, coalesced verdict frames), and at
-	// reduced scale over the per-package legacy path (IngestBurst: 1, one
-	// submit and one published event per package). Both must reproduce the
+	// The drill runs twice over the one ingest path: at full scale with the
+	// default burst width, and at reduced scale with width 1 (IngestBurst:
+	// 1, one package per engine admission). Both must reproduce the
 	// committed goldens byte for byte.
 	t.Run("burst", func(t *testing.T) {
 		copies := 16 // 16 traces × 16 copies = 256 concurrent connections
@@ -310,9 +311,114 @@ func replayEndToEnd(t *testing.T, ingestBurst, copies int) {
 	if sst.HubPublishedEvents != records {
 		t.Errorf("HubPublishedEvents = %d, want %d", sst.HubPublishedEvents, records)
 	}
-	if ingestBurst == 1 && sst.HubPublishes != records {
-		t.Errorf("per-package path published %d frames for %d events, want one frame per event",
-			sst.HubPublishes, records)
+	if ingestBurst == 1 && sst.IngestBursts != records {
+		t.Errorf("width 1 made %d admissions for %d packages, want one per package",
+			sst.IngestBursts, records)
+	}
+}
+
+// TestServeStatsCumulative: /stats reports lifetime counters only, so
+// scrapes do not interfere — a scrape taken between two others must not
+// take packages out of their difference, whoever issued it.
+func TestServeStatsCumulative(t *testing.T) {
+	corpora := loadCorpora(t)
+	srv, ingest, _ := newTestServer(t, serve.Config{}, corpora)
+	ops, err := srv.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type scrape struct {
+		Lifetime       map[string]any `json:"lifetime"`
+		ElapsedSeconds float64        `json:"elapsed_seconds"`
+		Server         serve.ServerStats
+	}
+	get := func() (sc scrape, keys map[string]any) {
+		t.Helper()
+		resp, err := http.Get("http://" + ops + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatal(err)
+		}
+		return sc, keys
+	}
+	packages := func(sc scrape) uint64 { return uint64(sc.Lifetime["Packages"].(float64)) }
+
+	a, keys := get()
+	for _, k := range []string{"interval", "server_interval", "interval_seconds", "interval_pkg_per_sec"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("/stats still serves interval key %q", k)
+		}
+	}
+	for _, k := range []string{"Clean", "PackageLevel", "SeriesLevel"} {
+		if _, ok := a.Lifetime[k]; ok {
+			t.Errorf("/stats lifetime still serves %q (duplicates ByLevel)", k)
+		}
+	}
+
+	tr := corpora[0].traces[0]
+	n, err := serve.Replay(ingest, tr.raw, serve.ReplayOptions{Stream: "stats", Model: corpora[0].scenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Engine().Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := get()
+	c, _ := get()
+	if got := packages(c) - packages(a); got != n {
+		t.Errorf("scrape C - scrape A = %d packages, want the %d replayed (scrape B in between)", got, n)
+	}
+	if packages(b) != packages(c) {
+		t.Errorf("scrapes B and C of an idle server differ: %d vs %d packages", packages(b), packages(c))
+	}
+	if got := c.Server.Replayed - a.Server.Replayed; got != n {
+		t.Errorf("server Replayed moved by %d, want %d", got, n)
+	}
+	if !(a.ElapsedSeconds > 0 && a.ElapsedSeconds <= b.ElapsedSeconds && b.ElapsedSeconds <= c.ElapsedSeconds) {
+		t.Errorf("elapsed_seconds not monotonic: %v, %v, %v", a.ElapsedSeconds, b.ElapsedSeconds, c.ElapsedSeconds)
+	}
+}
+
+// TestServeSubscribeRegistersBeforeAck: once Subscribe returns, the hub
+// already counts the subscriber, so a replay started at once delivers every
+// verdict to it — none may fall between the acknowledgement and the
+// registration.
+func TestServeSubscribeRegistersBeforeAck(t *testing.T) {
+	corpora := loadCorpora(t)
+	tr := corpora[0].traces[0]
+	for i := 0; i < 10; i++ {
+		srv, ingest, verdicts := newTestServer(t, serve.Config{SubscriberBuffer: 1 << 12}, corpora)
+		sub, err := serve.Subscribe(verdicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().Subscribers; got != 1 {
+			t.Fatalf("round %d: %d subscribers counted right after Subscribe returned, want 1", i, got)
+		}
+		go serve.Replay(ingest, tr.raw, serve.ReplayOptions{Stream: "plc", Model: corpora[0].scenario})
+		for seq := 0; seq < tr.records; seq++ {
+			ev, err := sub.Next()
+			if err != nil {
+				t.Fatalf("round %d: after %d of %d verdicts: %v", i, seq, tr.records, err)
+			}
+			if ev.Stream != "plc" || ev.Seq != uint64(seq) {
+				t.Fatalf("round %d: got %s/%d, want plc/%d", i, ev.Stream, ev.Seq, seq)
+			}
+		}
+		sub.Close()
+		if err := srv.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -380,10 +486,10 @@ func TestServeLiveIngest(t *testing.T) {
 			Name: "gaspipeline", Framework: corpora[0].fw, Registers: gaspipeline.Registers(),
 		}},
 		Engine: engine.Config{Shards: 1, MaxBatch: 4, QueueDepth: 4},
-		// Pin the per-package admission path: this test's shed count and
-		// strict command/response alternation depend on packages being
-		// admitted (and dropped) one at a time. The burst path's whole-burst
-		// shed semantics get their own test below.
+		// Pin burst width 1: this test's shed count and strict
+		// command/response alternation depend on packages being admitted
+		// (and dropped) one at a time. Whole-burst shed semantics at wider
+		// widths get their own test below.
 		IngestBurst: 1,
 		OnResult: func(r engine.Result) {
 			dirMu.Lock()
@@ -415,6 +521,13 @@ func TestServeLiveIngest(t *testing.T) {
 		if err := modbus.WriteTCPFrame(conn, cmd); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			// Park the worker in the handler on the first package before
+			// the rest arrive: while it is still draining its tick it could
+			// free queue slots behind a shed frame, and the classified
+			// packages would no longer be a prefix of the wire.
+			<-blocked
+		}
 		if err := modbus.WriteTCPFrame(conn, resp); err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +535,6 @@ func TestServeLiveIngest(t *testing.T) {
 
 	// The handler is blocked on the first package: the shard queue fills
 	// and the live path must shed the overflow rather than stall.
-	<-blocked
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := srv.Stats()

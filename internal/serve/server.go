@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,14 +55,12 @@ type Config struct {
 	// the subscriber-side mirror of the ingest IdleTimeout. Zero disables
 	// the deadline.
 	SubscriberWriteTimeout time.Duration
-	// IngestBurst caps how many packages an ingest connection admits into
-	// the engine per submit: the replay and live loops batch every record
-	// already buffered on the wire (up to the cap) into one
-	// SubmitBatchFor/TrySubmitBatchFor call, and verdict fan-out coalesces
-	// each shard tick's events into one published frame. 0 picks the
-	// default (256); 1 (or negative) selects the per-package legacy path —
-	// one submit and one published event per package — which is also the
-	// baseline leg of `icsbench -servebench`.
+	// IngestBurst is the ingest burst width: the most packages an ingest
+	// connection admits into the engine per submit. The replay and live
+	// loops batch every record already buffered on the wire (up to the
+	// width) into one SubmitBatchFor/TrySubmitBatchFor call. Every width
+	// runs the same code; 1 admits one package per submit. 0 picks the
+	// default (256); negative means 1.
 	IngestBurst int
 	// DrainGrace bounds how long Shutdown waits for ingest connections to
 	// finish before force-closing them. Default: 5s.
@@ -122,10 +121,8 @@ type Server struct {
 	ingestWG  sync.WaitGroup
 	acceptWG  sync.WaitGroup
 
-	// burst is the resolved IngestBurst; coalesce reports whether verdict
-	// fan-out batches per shard tick (burst > 1).
-	burst    int
-	coalesce bool
+	// burst is the resolved IngestBurst.
+	burst int
 	// frames holds, per engine shard, the frame accumulating the current
 	// tick's encoded events. Each slot is touched only by its shard's
 	// worker goroutine (handleResult and the TickEnd callback run there),
@@ -150,11 +147,6 @@ type Server struct {
 	ingestRecords atomic.Uint64
 	bursts        atomic.Uint64
 	burstPkgs     atomic.Uint64
-
-	statsMu    sync.Mutex
-	lastStats  engine.Stats
-	lastServer ServerStats
-	lastTime   time.Time
 }
 
 // ServerStats is a point-in-time snapshot of the daemon's own counters,
@@ -171,8 +163,7 @@ type ServerStats struct {
 	// included) and every decoded record/frame, admitted or shed.
 	IngestBytes, IngestRecords uint64
 	// IngestBursts counts engine admission calls; IngestBurstPkgs the
-	// packages they carried. A per-package submit counts as a burst of
-	// one, so MeanIngestBurst is comparable across IngestBurst settings.
+	// packages they carried (MeanIngestBurst).
 	IngestBursts, IngestBurstPkgs uint64
 	// Subscribers is the number of attached verdict subscribers;
 	// SubscriberDrops counts events lost to slow (or abandoned)
@@ -240,25 +231,18 @@ func New(cfg Config) (*Server, error) {
 	if burst == 0 {
 		burst = 256
 	}
-	if burst < 1 {
-		burst = 1
-	}
 	s := &Server{
-		cfg:      cfg,
-		hub:      newHub(cfg.SubscriberBuffer, cfg.SubscriberWriteTimeout),
-		models:   make(map[string]*modelEntry, len(cfg.Models)),
-		active:   make(map[string]net.Conn),
-		burst:    burst,
-		coalesce: burst > 1,
-		lastTime: time.Now(),
+		cfg:    cfg,
+		hub:    newHub(cfg.SubscriberBuffer, cfg.SubscriberWriteTimeout),
+		models: make(map[string]*modelEntry, len(cfg.Models)),
+		active: make(map[string]net.Conn),
+		burst:  max(burst, 1),
 	}
-	if s.coalesce {
-		// Coalesce verdict fan-out per shard tick: handleResult accumulates
-		// into per-shard frames, and the engine's TickEnd callback (on the
-		// same shard goroutine) publishes each shard's frame once per tick.
-		cfg.Engine.TickEnd = s.tickEnd
-		s.cfg.Engine = cfg.Engine
-	}
+	// Verdict fan-out coalesces per shard tick: handleResult accumulates
+	// into per-shard frames, and the engine's TickEnd callback (on the same
+	// shard goroutine) publishes each shard's frame once per tick.
+	cfg.Engine.TickEnd = s.tickEnd
+	s.cfg.Engine = cfg.Engine
 	for _, m := range cfg.Models {
 		if m.Name == "" {
 			return nil, fmt.Errorf("serve: model with empty name")
@@ -302,27 +286,19 @@ func New(cfg Config) (*Server, error) {
 // tests.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// handleResult is the engine Handler: observe, encode once, fan out.
-// With tick coalescing the event is appended to the shard's pending frame
-// (published by tickEnd); on the per-package path it publishes alone.
+// handleResult is the engine Handler: observe, encode once, and append the
+// event to the shard's pending frame, which tickEnd publishes.
 func (s *Server) handleResult(r engine.Result) {
 	if s.cfg.OnResult != nil {
 		s.cfg.OnResult(r)
 	}
-	if s.coalesce {
-		f := s.frames[r.Shard]
-		if f == nil {
-			f = s.hub.newFrame()
-			s.frames[r.Shard] = f
-		}
-		f.buf, s.scratch[r.Shard] = appendEvent(f.buf, s.scratch[r.Shard], r)
-		f.events++
-		return
+	f := s.frames[r.Shard]
+	if f == nil {
+		f = s.hub.newFrame()
+		s.frames[r.Shard] = f
 	}
-	f := s.hub.newFrame()
 	f.buf, s.scratch[r.Shard] = appendEvent(f.buf, s.scratch[r.Shard], r)
-	f.events = 1
-	s.hub.publishFrame(f)
+	f.events++
 }
 
 // tickEnd is the engine's per-shard tick callback: publish the shard's
@@ -495,20 +471,16 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 	}
 	dec := trace.NewDecoder(hdr)
 	var count uint64
-	var batch []*dataset.Package
+	var pending []*dataset.Package
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(pending) == 0 {
 			return nil
 		}
-		// The engine owns the slice after submit; the next burst gets a
-		// fresh one (one allocation amortized over the whole burst).
-		if err := s.eng.SubmitBatchFor(fw, stream, batch); err != nil {
+		if err := s.eng.SubmitBatchFor(fw, stream, s.admitted(pending)); err != nil {
 			return err
 		}
-		count += uint64(len(batch))
-		s.bursts.Add(1)
-		s.burstPkgs.Add(uint64(len(batch)))
-		batch = nil
+		count += uint64(len(pending))
+		pending = pending[:0]
 		return nil
 	}
 	// Each record is decoded into its Package before the next read, so
@@ -530,24 +502,11 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 			return
 		}
 		s.ingestRecords.Add(1)
-		if s.burst <= 1 {
-			if err := s.eng.SubmitFor(fw, stream, pkg); err != nil {
-				writeStatus(conn, 1, err.Error())
-				return
-			}
-			count++
-			s.bursts.Add(1)
-			s.burstPkgs.Add(1)
-			continue
-		}
-		if batch == nil {
-			batch = make([]*dataset.Package, 0, s.burst)
-		}
-		batch = append(batch, pkg)
+		pending = append(pending, pkg)
 		// Flush when the burst is full or the wire has nothing more
 		// buffered — trace.NewReader(br) reuses br (bufio on bufio is the
 		// identity), so Buffered() sees exactly the decoder's unread data.
-		if len(batch) >= s.burst || br.Buffered() == 0 {
+		if len(pending) >= s.burst || br.Buffered() == 0 {
 			if err := flush(); err != nil {
 				writeStatus(conn, 1, err.Error())
 				return
@@ -578,33 +537,12 @@ func (s *Server) serveReplay(conn net.Conn, br *bufio.Reader, fw *core.Framework
 // burst and counts the shed instead of stalling the wire.
 func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.RegisterMap, stream string) {
 	dec := liveDecoder{regs: regs, outstanding: make(map[uint16]struct{}), started: time.Now()}
+	var pending []*dataset.Package
 	for {
-		f, err := modbus.ReadTCPFrame(br)
-		if err != nil {
-			return
-		}
-		pkg, err := dec.decode(f)
-		if err != nil {
-			return
-		}
-		s.ingestRecords.Add(1)
-		if s.burst <= 1 {
-			ok, err := s.eng.TrySubmitFor(fw, stream, pkg)
-			if err != nil {
-				return
-			}
-			s.bursts.Add(1)
-			s.burstPkgs.Add(1)
-			if ok {
-				s.live.Add(1)
-			} else {
-				s.shed.Add(1)
-			}
-			continue
-		}
-		batch := make([]*dataset.Package, 0, s.burst)
-		batch = append(batch, pkg)
-		for len(batch) < s.burst && bufferedFrame(br) {
+		pending = pending[:0]
+		// Block for one frame, then take every complete frame already
+		// buffered, up to the burst width.
+		for len(pending) == 0 || (len(pending) < s.burst && bufferedFrame(br)) {
 			f, err := modbus.ReadTCPFrame(br)
 			if err != nil {
 				return
@@ -614,20 +552,28 @@ func (s *Server) serveLive(br *bufio.Reader, fw *core.Framework, regs tap.Regist
 				return
 			}
 			s.ingestRecords.Add(1)
-			batch = append(batch, pkg)
+			pending = append(pending, pkg)
 		}
-		ok, err := s.eng.TrySubmitBatchFor(fw, stream, batch)
+		ok, err := s.eng.TrySubmitBatchFor(fw, stream, s.admitted(pending))
 		if err != nil {
 			return
 		}
-		s.bursts.Add(1)
-		s.burstPkgs.Add(uint64(len(batch)))
 		if ok {
-			s.live.Add(uint64(len(batch)))
+			s.live.Add(uint64(len(pending)))
 		} else {
-			s.shed.Add(uint64(len(batch)))
+			s.shed.Add(uint64(len(pending)))
 		}
 	}
+}
+
+// admitted counts one engine admission of the decoded burst and returns
+// the slice to hand the engine: a right-sized copy, because the engine
+// reads a burst until it is classified while the ingest loop reuses its
+// decode buffer for the next one.
+func (s *Server) admitted(pending []*dataset.Package) []*dataset.Package {
+	s.bursts.Add(1)
+	s.burstPkgs.Add(uint64(len(pending)))
+	return slices.Clone(pending)
 }
 
 // liveDecoder turns one live Modbus/TCP frame into the Table I package
@@ -692,7 +638,9 @@ func bufferedFrame(br *bufio.Reader) bool {
 }
 
 // serveSubscribe handshakes one verdict subscriber and hands the
-// connection to the hub.
+// connection to the hub. The hub registers the subscriber before its writer
+// sends the OK status, so every verdict published after the client's
+// Subscribe returns reaches it.
 func (s *Server) serveSubscribe(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var m [8]byte
@@ -711,11 +659,8 @@ func (s *Server) serveSubscribe(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if err := writeStatus(conn, 0, ""); err != nil {
-		conn.Close()
-		return
-	}
-	if !s.hub.add(conn) {
+	if !s.hub.add(conn, appendStatus(nil, 0, "")) {
+		writeStatus(conn, 1, "server is shutting down")
 		conn.Close()
 	}
 }

@@ -124,9 +124,9 @@ func TestStackConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pkgs {
+		for i := range pkgs {
 			for s := 0; s < streams; s++ {
-				if err := eng.Submit(fmt.Sprintf("dev-%d", s), p); err != nil {
+				if err := eng.SubmitBatchFor(nil, fmt.Sprintf("dev-%d", s), pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -194,9 +194,9 @@ func TestStackConformanceRecon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pkgs {
+		for i := range pkgs {
 			for s := 0; s < streams; s++ {
-				if err := eng.Submit(fmt.Sprintf("dev-%d", s), p); err != nil {
+				if err := eng.SubmitBatchFor(nil, fmt.Sprintf("dev-%d", s), pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -268,8 +268,8 @@ func TestStackConformanceDynamicK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pkgs {
-		if err := eng.Submit("plc", p); err != nil {
+	for i := range pkgs {
+		if err := eng.SubmitBatchFor(nil, "plc", pkgs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,8 +340,8 @@ func TestStackConformanceFusionPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range pkgs {
-				if err := eng.Submit("dev", p); err != nil {
+			for i := range pkgs {
+				if err := eng.SubmitBatchFor(nil, "dev", pkgs[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
