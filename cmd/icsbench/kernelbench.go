@@ -10,7 +10,9 @@ import (
 
 // runKernelBench microbenchmarks the inference kernels at the paper's model
 // shape (one-hot width 138 → 32 → 32 → 49 classes): the dense and one-hot
-// step paths, sequential and batched, plus the fused activation kernels —
+// step paths, sequential and batched (one-hot at widths 1, 3, 8 and 63, so
+// the single-stream dispatch and the padded ragged blocks show beside the
+// full eight-stream block), plus the fused activation kernels —
 // at both numeric tiers (f64 reference and the float32 inference snapshot)
 // under every kernel tier override (scalar reference, AVX2, AVX-512).
 // On machines without a tier the override is a no-op and that column
@@ -22,6 +24,7 @@ func runKernelBench(jsonOut bool) error {
 		inputDim = 138
 		classes  = 49
 		batch    = 8
+		maxBatch = 63
 	)
 	c, err := nn.NewClassifier(inputDim, []int{32, 32}, classes, 7)
 	if err != nil {
@@ -58,16 +61,16 @@ func runKernelBench(jsonOut bool) error {
 	}
 
 	state := c.NewState()
-	states := make([]*nn.State, batch)
+	states := make([]*nn.State, maxBatch)
 	for i := range states {
 		states[i] = c.NewState()
 	}
-	buf := c.NewBatchBuffer(batch)
+	buf := c.NewBatchBuffer(maxBatch)
 	scores := make([]float64, classes)
-	batchScores := make([][]float64, batch)
-	batchIdxs := make([][]int, batch)
+	batchScores := make([][]float64, maxBatch)
+	batchIdxs := make([][]int, maxBatch)
 	batchXs := make([][]float64, batch)
-	for i := 0; i < batch; i++ {
+	for i := range batchScores {
 		batchScores[i] = make([]float64, classes)
 	}
 	act := make([]float64, 96)
@@ -77,15 +80,15 @@ func runKernelBench(jsonOut bool) error {
 	actDst := make([]float64, len(act))
 
 	state32 := m32.NewState()
-	states32 := make([]*nn.State32, batch)
+	states32 := make([]*nn.State32, maxBatch)
 	for i := range states32 {
 		states32[i] = m32.NewState()
 	}
-	buf32 := m32.NewBatchBuffer(batch)
+	buf32 := m32.NewBatchBuffer(maxBatch)
 	scores32 := make([]float32, classes)
-	batchScores32 := make([][]float32, batch)
+	batchScores32 := make([][]float32, maxBatch)
 	batchXs32 := make([][]float32, batch)
-	for i := 0; i < batch; i++ {
+	for i := range batchScores32 {
 		batchScores32[i] = make([]float32, classes)
 	}
 	act32 := make([]float32, len(act))
@@ -94,15 +97,35 @@ func runKernelBench(jsonOut bool) error {
 	}
 	actDst32 := make([]float32, len(act32))
 
-	// Each row is one kernel at one precision; the reported figure is ns
-	// per package (the batch rows divide by the batch width) except the
-	// act/* rows, which are ns per kernel call on a 96-wide gate block.
-	rows := []struct {
+	// oneHot64/oneHot32 build the one-hot batched row at width w: stream
+	// s of op i steps on package (i*w+s) of the fixed input stream.
+	type row struct {
 		name string
 		prec string
 		per  int // packages (or calls) per op
 		op   func(i int)
-	}{
+	}
+	oneHot64 := func(w int) row {
+		return row{fmt.Sprintf("batch%d/onehot", w), "f64", w, func(i int) {
+			for s := 0; s < w; s++ {
+				batchIdxs[s] = idxs[(i*w+s)%len(idxs)]
+			}
+			c.StepBatchLogitsOneHot(buf, states[:w], batchIdxs[:w], batchScores[:w])
+		}}
+	}
+	oneHot32 := func(w int) row {
+		return row{fmt.Sprintf("batch%d/onehot", w), "f32", w, func(i int) {
+			for s := 0; s < w; s++ {
+				batchIdxs[s] = idxs[(i*w+s)%len(idxs)]
+			}
+			m32.StepBatchLogitsOneHot(buf32, states32[:w], batchIdxs[:w], batchScores32[:w])
+		}}
+	}
+
+	// Each row is one kernel at one precision; the reported figure is ns
+	// per package (the batch rows divide by the batch width) except the
+	// act/* rows, which are ns per kernel call on a 96-wide gate block.
+	rows := []row{
 		{"step/dense", "f64", 1, func(i int) {
 			c.StepLogits(state, xs[i%len(xs)], scores)
 		}},
@@ -113,14 +136,9 @@ func runKernelBench(jsonOut bool) error {
 			for s := 0; s < batch; s++ {
 				batchXs[s] = xs[(i*batch+s)%len(xs)]
 			}
-			c.StepBatchLogits(buf, states, batchXs, batchScores)
+			c.StepBatchLogits(buf, states[:batch], batchXs, batchScores[:batch])
 		}},
-		{fmt.Sprintf("batch%d/onehot", batch), "f64", batch, func(i int) {
-			for s := 0; s < batch; s++ {
-				batchIdxs[s] = idxs[(i*batch+s)%len(idxs)]
-			}
-			c.StepBatchLogitsOneHot(buf, states, batchIdxs, batchScores)
-		}},
+		oneHot64(1), oneHot64(3), oneHot64(batch), oneHot64(maxBatch),
 		{"act/vsigmoid-96", "f64", 1, func(i int) { mathx.VSigmoid(actDst, act) }},
 		{"act/vtanh-96", "f64", 1, func(i int) { mathx.VTanh(actDst, act) }},
 		{"act/vexp-96", "f64", 1, func(i int) { mathx.VExp(actDst, act) }},
@@ -134,14 +152,9 @@ func runKernelBench(jsonOut bool) error {
 			for s := 0; s < batch; s++ {
 				batchXs32[s] = xs32[(i*batch+s)%len(xs32)]
 			}
-			m32.StepBatchLogits(buf32, states32, batchXs32, batchScores32)
+			m32.StepBatchLogits(buf32, states32[:batch], batchXs32, batchScores32[:batch])
 		}},
-		{fmt.Sprintf("batch%d/onehot", batch), "f32", batch, func(i int) {
-			for s := 0; s < batch; s++ {
-				batchIdxs[s] = idxs[(i*batch+s)%len(idxs)]
-			}
-			m32.StepBatchLogitsOneHot(buf32, states32, batchIdxs, batchScores32)
-		}},
+		oneHot32(1), oneHot32(3), oneHot32(batch), oneHot32(maxBatch),
 		{"act/vsigmoid-96", "f32", 1, func(i int) { mathx.VSigmoid32(actDst32, act32) }},
 		{"act/vtanh-96", "f32", 1, func(i int) { mathx.VTanh32(actDst32, act32) }},
 		{"act/vexp-96", "f32", 1, func(i int) { mathx.VExp32(actDst32, act32) }},

@@ -64,12 +64,14 @@ func TestDot32MatchesScalarChain(t *testing.T) {
 }
 
 // TestMulRowsT32TiersBitwise: the batched f32 GEMM must equal the per-row
-// scalar MulVec bitwise on every tier, for every batch width (SIMD peels at
-// 16 and 8 plus the 4-stream scalar tile and singles).
+// scalar MulVec bitwise on every tier, for every batch width (full 16- and
+// 8-stream SIMD blocks, padded ragged blocks, and on the scalar tier the
+// 4-stream tile plus singles). The 150×300 shape runs padded lanes through
+// two weight-row tiles and the column-chunk carry.
 func TestMulRowsT32TiersBitwise(t *testing.T) {
 	rng := NewRNG(11)
-	shapes := []struct{ r, c int }{{1, 1}, {3, 5}, {16, 16}, {33, 7}, {128, 138}, {96, 300}}
-	widths := []int{1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 33}
+	shapes := []struct{ r, c int }{{1, 1}, {3, 5}, {16, 16}, {33, 7}, {128, 138}, {96, 300}, {150, 300}}
+	widths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 33, 60, 63, 64}
 	for _, sh := range shapes {
 		m := randMatrix32(rng, sh.r, sh.c)
 		for _, w := range widths {
@@ -84,7 +86,7 @@ func TestMulRowsT32TiersBitwise(t *testing.T) {
 				}
 			})
 			forEachTier(t, func(t *testing.T) {
-				got := make([]float32, w*sh.r)
+				got := randVec32(rng, w*sh.r, 1) // stale values the product must overwrite
 				m.MulRowsT(got, xs)
 				for i := range got {
 					if !bits32Equal(got[i], want[i]) {
@@ -98,13 +100,14 @@ func TestMulRowsT32TiersBitwise(t *testing.T) {
 }
 
 // TestPackedGEMM32TiersBitwise: the row-pair packed GEMM must equal the
-// per-row scalar MulVec bitwise on every tier — the AVX-512 pair kernel,
-// the odd-final-row Dot32 tail, the >chunk column carry, and the delegated
-// remainder paths all preserve the Dot32 association.
+// per-row scalar MulVec bitwise on every tier — the AVX-512 pair kernel
+// full and padded, the odd-final-row Dot32 tail, the >chunk column carry,
+// the multi-tile padded rows (151×300) and the delegated lower-tier paths
+// all preserve the Dot32 association.
 func TestPackedGEMM32TiersBitwise(t *testing.T) {
 	rng := NewRNG(19)
-	shapes := []struct{ r, c int }{{1, 5}, {2, 4}, {3, 5}, {33, 7}, {49, 32}, {128, 138}, {96, 300}}
-	widths := []int{1, 7, 8, 9, 15, 16, 17, 24, 33}
+	shapes := []struct{ r, c int }{{1, 5}, {2, 4}, {3, 5}, {33, 7}, {49, 32}, {128, 138}, {96, 300}, {151, 300}}
+	widths := []int{1, 2, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 33, 60, 63, 64}
 	for _, sh := range shapes {
 		m := randMatrix32(rng, sh.r, sh.c)
 		p := PackGEMM32(m)
@@ -120,7 +123,7 @@ func TestPackedGEMM32TiersBitwise(t *testing.T) {
 				}
 			})
 			forEachTier(t, func(t *testing.T) {
-				got := make([]float32, w*sh.r)
+				got := randVec32(rng, w*sh.r, 1) // stale values the product must overwrite
 				p.MulRowsT(got, xs)
 				for i := range got {
 					if !bits32Equal(got[i], want[i]) {

@@ -114,97 +114,166 @@ func gemv32SIMD(p *PackedGEMV32, dst, x, bias []float32, mode int, tiles int) bo
 
 // gemmChunkK32 is the packed-column chunk size for the f32 GEMM kernels:
 // 8 lanes × 256 columns × 4 bytes = 8 KB of stack scratch per call (16 KB
-// for the 16-lane kernel).
+// for the 16-lane kernels).
 const gemmChunkK32 = 256
 
-// mulRows8f32SIMD computes the eight-stream block dst(8×R, lane stride R) =
-// [xs0;…;xs7]·mᵀ with the AVX2 kernel. Columns beyond gemmChunkK32 are
-// processed in aligned chunks with the accumulator carried through dst, so
-// the per-element association still matches Dot32 exactly.
-func mulRows8f32SIMD(m *Matrix32, dst []float32, xs [][]float32) bool {
-	if !hasAVX {
+// mulRows32SIMD is mulRowsSIMD for Matrix32.MulRowsT: full sixteen-stream
+// zmm blocks on the AVX-512 tier, eight-stream ymm blocks below it, and the
+// streams left over through the narrowest kernel that holds them in one
+// pass with absent lanes zero-filled. It reports false on the scalar tier
+// and for an empty inner dimension.
+func mulRows32SIMD(m *Matrix32, dst []float32, xs [][]float32) bool {
+	if !hasAVX || m.Cols == 0 {
 		return false
 	}
-	R, C := m.Rows, m.Cols
-	x0, x1, x2, x3 := xs[0][:C], xs[1][:C], xs[2][:C], xs[3][:C]
-	x4, x5, x6, x7 := xs[4][:C], xs[5][:C], xs[6][:C], xs[7][:C]
-	var xt [8 * gemmChunkK32]float32
-	for kc := 0; kc < C; kc += gemmChunkK32 {
-		kn := C - kc
-		if kn > gemmChunkK32 {
-			kn = gemmChunkK32
+	R := m.Rows
+	for i := 0; i < len(xs); {
+		t := len(xs) - i
+		if hasAVX512 && t > 8 {
+			t = min(t, 16)
+			mulRows16f32SIMD(m, dst[i*R:(i+t)*R], xs[i:i+t])
+		} else {
+			t = min(t, 8)
+			mulRows8f32SIMD(m, dst[i*R:(i+t)*R], xs[i:i+t])
 		}
-		for k := 0; k < kn; k++ {
-			xt[8*k] = x0[kc+k]
-			xt[8*k+1] = x1[kc+k]
-			xt[8*k+2] = x2[kc+k]
-			xt[8*k+3] = x3[kc+k]
-			xt[8*k+4] = x4[kc+k]
-			xt[8*k+5] = x5[kc+k]
-			xt[8*k+6] = x6[kc+k]
-			xt[8*k+7] = x7[kc+k]
-		}
-		gemm8f32avx(&m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
+		i += t
 	}
 	return true
 }
 
-// mulRows8x2f32SIMD computes the eight-stream block with the row-pair
-// AVX-512 kernel over p's interleaved weights — same chunking and
-// association contract as mulRows8f32SIMD at double the rows per pass. An
-// odd final weight row is computed in Go with Dot32 itself, which IS the
-// contract association.
-func mulRows8x2f32SIMD(p *PackedGEMM32, dst []float32, xs [][]float32) bool {
-	if !hasAVX512 {
+// mulRowsPacked32SIMD is the AVX-512 dispatch of PackedGEMM32.MulRowsT:
+// sixteen-stream blocks run the plain zmm kernel (at full occupancy it
+// already amortizes its broadcasts over sixteen lanes), and up to eight
+// streams run the row-pair kernel over the interleaved weights, padded when
+// ragged. It reports false below AVX-512, where the row-pair layout has no
+// kernel and the matrix's own MulRowsT runs.
+func mulRowsPacked32SIMD(p *PackedGEMM32, dst []float32, xs [][]float32) bool {
+	if !hasAVX512 || p.m.Cols == 0 {
 		return false
 	}
-	R, C := p.m.Rows, p.m.Cols
-	var xt [16 * gemmChunkK32]float32
-	for kc := 0; kc < C && R >= 2; kc += gemmChunkK32 {
-		kn := C - kc
-		if kn > gemmChunkK32 {
-			kn = gemmChunkK32
+	R := p.m.Rows
+	for i := 0; i < len(xs); {
+		t := len(xs) - i
+		if t > 8 {
+			t = min(t, 16)
+			mulRows16f32SIMD(p.m, dst[i*R:(i+t)*R], xs[i:i+t])
+		} else {
+			mulRows8x2f32SIMD(p, dst[i*R:(i+t)*R], xs[i:i+t])
 		}
-		for s := 0; s < 8; s++ {
-			x := xs[s][:C]
-			for k := 0; k < kn; k++ {
-				xt[16*k+2*s] = x[kc+k]
-				xt[16*k+2*s+1] = x[kc+k]
+		i += t
+	}
+	return true
+}
+
+// mulRows8f32SIMD computes up to eight streams with the AVX2 kernel.
+func mulRows8f32SIMD(m *Matrix32, dst []float32, xs [][]float32) {
+	var xt [8 * gemmChunkK32]float32
+	mulRows32Block(m, dst, xs, xt[:], 8)
+}
+
+// mulRows16f32SIMD computes up to sixteen streams with the AVX-512 kernel.
+func mulRows16f32SIMD(m *Matrix32, dst []float32, xs [][]float32) {
+	var xt [16 * gemmChunkK32]float32
+	mulRows32Block(m, dst, xs, xt[:], 16)
+}
+
+// mulRows32Block is mulRowsBlock at f32: dst(t×R, lane stride R) =
+// [xs0;…]·mᵀ for t = len(xs) ≤ lanes streams, columns packed as
+// xt[lanes*k+lane] in gemmChunkK32 chunks with the accumulator carried
+// through the output, so each lane is exactly Dot32's chain. A ragged block
+// leaves its absent lanes zero and stages all lanes through a stack tile of
+// gemmTailRows weight rows, copying out the real ones.
+func mulRows32Block(m *Matrix32, dst []float32, xs [][]float32, xt []float32, lanes int) {
+	R, C := m.Rows, m.Cols
+	pack := func(kc, kn int) {
+		for l, x := range xs {
+			x = x[kc : kc+kn]
+			for k, v := range x {
+				xt[lanes*k+l] = v
 			}
 		}
-		gemm8x2f32avx512(&p.pairs[2*kc], 2*C, R/2, &xt[0], kn, &dst[0], R, kc > 0)
+	}
+	if len(xs) == lanes {
+		for kc := 0; kc < C; kc += gemmChunkK32 {
+			kn := min(C-kc, gemmChunkK32)
+			pack(kc, kn)
+			gemm32AVX(lanes, &m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
+		}
+		return
+	}
+	var out [16 * gemmTailRows]float32
+	for r0 := 0; r0 < R; r0 += gemmTailRows {
+		rn := min(R-r0, gemmTailRows)
+		for kc := 0; kc < C; kc += gemmChunkK32 {
+			kn := min(C-kc, gemmChunkK32)
+			if r0 == 0 || C > gemmChunkK32 {
+				pack(kc, kn)
+			}
+			gemm32AVX(lanes, &m.Data[r0*C+kc], C, rn, &xt[0], kn, &out[0], rn, kc > 0)
+		}
+		for l := range xs {
+			copy(dst[l*R+r0:l*R+r0+rn], out[l*rn:(l+1)*rn])
+		}
+	}
+}
+
+// gemm32AVX calls the lanes-wide f32 GEMM microkernel directly, keeping the
+// kernels' noescape contract visible to escape analysis.
+func gemm32AVX(lanes int, w *float32, stride, rows int, xt *float32, kn int, dst *float32, dstStride int, cont bool) {
+	if lanes == 16 {
+		gemm16f32avx512(w, stride, rows, xt, kn, dst, dstStride, cont)
+	} else {
+		gemm8f32avx(w, stride, rows, xt, kn, dst, dstStride, cont)
+	}
+}
+
+// mulRows8x2f32SIMD computes up to eight streams with the row-pair AVX-512
+// kernel over p's interleaved weights — same chunking and association
+// contract as mulRows32Block at double the rows per pass, each stream's
+// value duplicated into its lane pair. A ragged block stages all lanes
+// through a stack tile of gemmTailRows weight rows like mulRows32Block. An
+// odd final weight row is computed in Go with Dot32 itself, which IS the
+// contract association.
+func mulRows8x2f32SIMD(p *PackedGEMM32, dst []float32, xs [][]float32) {
+	R, C := p.m.Rows, p.m.Cols
+	var xt [16 * gemmChunkK32]float32
+	pack := func(kc, kn int) {
+		for s, x := range xs {
+			x = x[kc : kc+kn]
+			for k, v := range x {
+				xt[16*k+2*s] = v
+				xt[16*k+2*s+1] = v
+			}
+		}
+	}
+	P := R / 2 // weight-row pairs
+	if len(xs) == 8 {
+		for kc := 0; kc < C && P > 0; kc += gemmChunkK32 {
+			kn := min(C-kc, gemmChunkK32)
+			pack(kc, kn)
+			gemm8x2f32avx512(&p.pairs[2*kc], 2*C, P, &xt[0], kn, &dst[0], R, kc > 0)
+		}
+	} else {
+		var out [8 * gemmTailRows]float32
+		const tilePairs = gemmTailRows / 2
+		for p0 := 0; p0 < P; p0 += tilePairs {
+			pn := min(P-p0, tilePairs)
+			for kc := 0; kc < C; kc += gemmChunkK32 {
+				kn := min(C-kc, gemmChunkK32)
+				if p0 == 0 || C > gemmChunkK32 {
+					pack(kc, kn)
+				}
+				gemm8x2f32avx512(&p.pairs[p0*2*C+2*kc], 2*C, pn, &xt[0], kn, &out[0], 2*pn, kc > 0)
+			}
+			for s := range xs {
+				copy(dst[s*R+2*p0:s*R+2*(p0+pn)], out[s*2*pn:(s+1)*2*pn])
+			}
+		}
 	}
 	if R&1 == 1 {
 		row := p.m.Data[(R-1)*C : R*C]
-		for s := 0; s < 8; s++ {
-			dst[s*R+R-1] = Dot32(row, xs[s][:C])
+		for s, x := range xs {
+			dst[s*R+R-1] = Dot32(row, x[:C])
 		}
 	}
-	return true
-}
-
-// mulRows16f32SIMD computes the sixteen-stream block dst(16×R, lane stride
-// R) = [xs0;…;xs15]·mᵀ with the AVX-512 kernel — same chunking and
-// association contract as mulRows8f32SIMD, sixteen accumulator chains per
-// weight row.
-func mulRows16f32SIMD(m *Matrix32, dst []float32, xs [][]float32) bool {
-	if !hasAVX512 {
-		return false
-	}
-	R, C := m.Rows, m.Cols
-	var xt [16 * gemmChunkK32]float32
-	for kc := 0; kc < C; kc += gemmChunkK32 {
-		kn := C - kc
-		if kn > gemmChunkK32 {
-			kn = gemmChunkK32
-		}
-		for l := 0; l < 16; l++ {
-			x := xs[l][:C]
-			for k := 0; k < kn; k++ {
-				xt[16*k+l] = x[kc+k]
-			}
-		}
-		gemm16f32avx512(&m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
-	}
-	return true
 }

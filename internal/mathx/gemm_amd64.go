@@ -145,65 +145,110 @@ func gemvSIMD(p *PackedGEMV, dst, x, bias []float64, mode int, tiles int) bool {
 // of stack scratch per call (16 KB for the 8-lane kernel).
 const gemmChunkK = 256
 
-// mulRows4SIMD computes the four-stream block dst(4×R, lane stride R) =
-// [x0;x1;x2;x3]·mᵀ with the AVX kernel. Columns beyond gemmChunkK are
-// processed in aligned chunks with the accumulator carried through dst, so
-// the per-element association still matches Dot exactly. Only the
-// overwriting form is provided: accumulate-into-dst would need a different
-// association (dst + full-dot), which the chunked kernel cannot reproduce —
-// batched callers compute separate products and combine them elementwise
-// instead.
-func mulRows4SIMD(m *Matrix, dst []float64, x0, x1, x2, x3 []float64) bool {
-	if !hasAVX {
+// gemmTailRows is the weight-row tile of a padded block: the kernel writes
+// every lane, real or absent, into a lanes × gemmTailRows stack tile, and
+// only the real lanes are copied out to dst. 128 rows cover the gate
+// products of a 32-unit layer in one tile.
+const gemmTailRows = 128
+
+// mulRowsSIMD runs the whole batched product dst = X·mᵀ on the SIMD tier
+// and reports false on the scalar tier (and for an empty inner dimension,
+// where the kernels would leave dst unwritten) so MulRowsT runs its Go
+// loops instead. Full blocks of the widest kernel come first; the streams
+// left over run through the narrowest kernel that holds them in one pass,
+// absent lanes zero-filled. Lanes never mix, so every real lane keeps Dot's
+// association whichever block carries it.
+func mulRowsSIMD(m *Matrix, dst []float64, xs [][]float64) bool {
+	if !hasAVX || m.Cols == 0 {
 		return false
 	}
-	R, C := m.Rows, m.Cols
-	var xt [4 * gemmChunkK]float64
-	for kc := 0; kc < C; kc += gemmChunkK {
-		kn := C - kc
-		if kn > gemmChunkK {
-			kn = gemmChunkK
+	R := m.Rows
+	for i := 0; i < len(xs); {
+		t := len(xs) - i
+		if hasAVX512 && t > 4 {
+			t = min(t, 8)
+			mulRows8SIMD(m, dst[i*R:(i+t)*R], xs[i:i+t])
+		} else {
+			t = min(t, 4)
+			mulRows4SIMD(m, dst[i*R:(i+t)*R], xs[i:i+t])
 		}
-		for k := 0; k < kn; k++ {
-			xt[4*k] = x0[kc+k]
-			xt[4*k+1] = x1[kc+k]
-			xt[4*k+2] = x2[kc+k]
-			xt[4*k+3] = x3[kc+k]
-		}
-		gemm4avx(&m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
+		i += t
 	}
 	return true
 }
 
-// mulRows8SIMD computes the eight-stream block dst(8×R, lane stride R) =
-// [xs0;…;xs7]·mᵀ with the AVX-512 kernel — same chunking and association
-// contract as mulRows4SIMD, eight accumulator chains per weight row.
-func mulRows8SIMD(m *Matrix, dst []float64, xs [][]float64) bool {
-	if !hasAVX512 {
-		return false
-	}
-	R, C := m.Rows, m.Cols
-	x0, x1, x2, x3 := xs[0][:C], xs[1][:C], xs[2][:C], xs[3][:C]
-	x4, x5, x6, x7 := xs[4][:C], xs[5][:C], xs[6][:C], xs[7][:C]
+// mulRows4SIMD computes up to four streams with the AVX kernel; the packed
+// columns live on this frame, so a four-lane block zeroes half the scratch
+// an eight-lane one does.
+func mulRows4SIMD(m *Matrix, dst []float64, xs [][]float64) {
+	var xt [4 * gemmChunkK]float64
+	mulRowsBlock(m, dst, xs, xt[:], 4)
+}
+
+// mulRows8SIMD computes up to eight streams with the AVX-512 kernel.
+func mulRows8SIMD(m *Matrix, dst []float64, xs [][]float64) {
 	var xt [8 * gemmChunkK]float64
-	for kc := 0; kc < C; kc += gemmChunkK {
-		kn := C - kc
-		if kn > gemmChunkK {
-			kn = gemmChunkK
+	mulRowsBlock(m, dst, xs, xt[:], 8)
+}
+
+// mulRowsBlock computes dst(t×R, lane stride R) = [xs0;…]·mᵀ for
+// t = len(xs) ≤ lanes streams with the lanes-wide kernel, packing columns
+// into xt (zeroed, lanes·gemmChunkK long) as xt[lanes*k+lane]. Columns
+// beyond gemmChunkK are processed in aligned chunks with the accumulator
+// carried through the output, so the per-element association still matches
+// Dot exactly. Only the overwriting form is provided: accumulate-into-dst
+// would need a different association (dst + full-dot), which the chunked
+// kernel cannot reproduce — batched callers compute separate products and
+// combine them elementwise instead.
+//
+// A full block writes dst directly. A ragged one (t < lanes) leaves the
+// absent lanes of xt zero and lets the kernel write all lanes into a stack
+// tile of gemmTailRows weight rows, from which the t real lanes are copied
+// out; the column chunks run inside each row tile, so the carry stays in
+// the tile.
+func mulRowsBlock(m *Matrix, dst []float64, xs [][]float64, xt []float64, lanes int) {
+	R, C := m.Rows, m.Cols
+	pack := func(kc, kn int) {
+		for l, x := range xs {
+			x = x[kc : kc+kn]
+			for k, v := range x {
+				xt[lanes*k+l] = v
+			}
 		}
-		for k := 0; k < kn; k++ {
-			xt[8*k] = x0[kc+k]
-			xt[8*k+1] = x1[kc+k]
-			xt[8*k+2] = x2[kc+k]
-			xt[8*k+3] = x3[kc+k]
-			xt[8*k+4] = x4[kc+k]
-			xt[8*k+5] = x5[kc+k]
-			xt[8*k+6] = x6[kc+k]
-			xt[8*k+7] = x7[kc+k]
-		}
-		gemm8avx512(&m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
 	}
-	return true
+	if len(xs) == lanes {
+		for kc := 0; kc < C; kc += gemmChunkK {
+			kn := min(C-kc, gemmChunkK)
+			pack(kc, kn)
+			gemmAVX(lanes, &m.Data[kc], C, R, &xt[0], kn, &dst[0], R, kc > 0)
+		}
+		return
+	}
+	var out [8 * gemmTailRows]float64
+	for r0 := 0; r0 < R; r0 += gemmTailRows {
+		rn := min(R-r0, gemmTailRows)
+		for kc := 0; kc < C; kc += gemmChunkK {
+			kn := min(C-kc, gemmChunkK)
+			if r0 == 0 || C > gemmChunkK {
+				pack(kc, kn)
+			}
+			gemmAVX(lanes, &m.Data[r0*C+kc], C, rn, &xt[0], kn, &out[0], rn, kc > 0)
+		}
+		for l := range xs {
+			copy(dst[l*R+r0:l*R+r0+rn], out[l*rn:(l+1)*rn])
+		}
+	}
+}
+
+// gemmAVX calls the lanes-wide GEMM microkernel directly (a func value
+// would hide the kernels' noescape contract and move the stack scratch to
+// the heap).
+func gemmAVX(lanes int, w *float64, stride, rows int, xt *float64, kn int, dst *float64, dstStride int, cont bool) {
+	if lanes == 8 {
+		gemm8avx512(w, stride, rows, xt, kn, dst, dstStride, cont)
+	} else {
+		gemm4avx(w, stride, rows, xt, kn, dst, dstStride, cont)
+	}
 }
 
 // chain4SIMD runs the four-chain tile with the AVX microkernel, delegating

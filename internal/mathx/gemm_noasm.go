@@ -2,15 +2,9 @@
 
 package mathx
 
-// mulRows4SIMD reports that no SIMD kernel is available on this
-// architecture; mulRowsT falls back to the scalar register tile.
-func mulRows4SIMD(m *Matrix, dst []float64, x0, x1, x2, x3 []float64) bool {
-	return false
-}
-
-// mulRows8SIMD reports that no SIMD kernel is available on this
-// architecture; MulRowsT falls back to the four-stream scalar tile.
-func mulRows8SIMD(m *Matrix, dst []float64, xs [][]float64) bool {
+// mulRowsSIMD reports that no SIMD kernel is available on this
+// architecture; MulRowsT falls back to the scalar register tile.
+func mulRowsSIMD(m *Matrix, dst []float64, xs [][]float64) bool {
 	return false
 }
 

@@ -195,29 +195,35 @@ func TestPackedGEMVStale(t *testing.T) {
 	}
 }
 
-// TestMulRowsTWideBatches: batch widths that engage the eight-stream
-// AVX-512 block (plus ragged tails through the four-stream and single-row
-// paths) must stay bitwise-identical to one MulVec per stream on every
-// tier.
+// TestMulRowsTWideBatches: every batch width from one stream past two full
+// eight-stream blocks, plus 63 and 64, must stay bitwise-identical to one
+// MulVec per stream on every tier — full blocks and padded ragged blocks on
+// the SIMD tiers, the four-stream tile plus Dot on the scalar tier. The
+// 150×300 shape runs the padded lanes through two weight-row tiles and the
+// column-chunk carry. dst starts with stale values the product must
+// overwrite.
 func TestMulRowsTWideBatches(t *testing.T) {
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64}
 	forEachTier(t, func(t *testing.T) {
 		rng := NewRNG(76)
-		for _, streams := range []int{8, 9, 11, 13, 16, 23} {
-			rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
-			m := randomMatrix(rng, rows, cols)
-			xs := make([][]float64, streams)
-			for i := range xs {
-				xs[i] = randomVec(rng, cols)
-			}
-			got := make([]float64, streams*rows)
-			m.MulRowsT(got, xs)
-			for i := 0; i < streams; i++ {
-				want := make([]float64, rows)
-				m.MulVec(want, xs[i])
-				for j := range want {
-					if !bitsEqual(got[i*rows+j], want[j]) {
-						t.Fatalf("streams=%d stream %d row %d (%dx%d): batched %v, MulVec %v",
-							streams, i, j, rows, cols, got[i*rows+j], want[j])
+		for _, streams := range widths {
+			for _, sh := range [][2]int{{1 + rng.Intn(40), 1 + rng.Intn(40)}, {150, 300}} {
+				rows, cols := sh[0], sh[1]
+				m := randomMatrix(rng, rows, cols)
+				xs := make([][]float64, streams)
+				for i := range xs {
+					xs[i] = randomVec(rng, cols)
+				}
+				got := randomVec(rng, streams*rows)
+				m.MulRowsT(got, xs)
+				for i := 0; i < streams; i++ {
+					want := make([]float64, rows)
+					m.MulVec(want, xs[i])
+					for j := range want {
+						if !bitsEqual(got[i*rows+j], want[j]) {
+							t.Fatalf("streams=%d stream %d row %d (%dx%d): batched %v, MulVec %v",
+								streams, i, j, rows, cols, got[i*rows+j], want[j])
+						}
 					}
 				}
 			}

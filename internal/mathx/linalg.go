@@ -115,12 +115,15 @@ func (m *Matrix) MulVecT(dst, x []float64) {
 // of four summed left-to-right, then a sequential tail), so the result is
 // bitwise identical to calling MulVec once per row of X — the batched
 // inference path depends on this for exact verdict equivalence. What makes
-// it a genuine GEMM rather than repeated GEMV is the register tiling: four
-// input rows advance together per weight row, so each weight element is
-// loaded once per four dot products and the four accumulator chains hide
-// floating-point add latency. That is the kernel-level source of the
-// batched engine's speedup; a GEMV retires roughly one multiply-add per
-// two loads, while the tiled kernel retires four per five.
+// it a genuine GEMM rather than repeated GEMV is the register tiling:
+// several input rows advance together per weight row, so each weight
+// element is loaded once per block of dot products and the independent
+// accumulator chains hide floating-point add latency. On the SIMD tiers
+// every width runs in stream blocks (eight per zmm, four per ymm); the
+// streams left after the full blocks run through the narrowest block kernel
+// that holds them, absent lanes zero-filled, so a ragged batch costs one
+// padded pass rather than one scalar Dot per stream. The scalar tier keeps
+// the Go four-stream register tile plus a Dot per leftover stream.
 // Only the overwriting form exists: an accumulate-into-dst variant would
 // need a different summation association (dst + full dot) that the chunked
 // SIMD kernel cannot reproduce bitwise, so batched callers that need a sum
@@ -132,23 +135,15 @@ func (m *Matrix) MulRowsT(dst []float64, xs [][]float64) {
 		panic(fmt.Sprintf("mathx: gemm shape mismatch (%d rows of %d into %d)",
 			len(xs), R, len(dst)))
 	}
+	if mulRowsSIMD(m, dst, xs) {
+		return
+	}
 	n := C &^ 3
 	i := 0
-	// AVX-512 first: eight streams per zmm lane. The kernel's per-lane
-	// association is Dot's, so peeling 8-wide blocks before the 4-wide
-	// path below changes nothing but speed.
-	for ; i+8 <= len(xs); i += 8 {
-		if !mulRows8SIMD(m, dst[i*R:(i+8)*R], xs[i:i+8]) {
-			break
-		}
-	}
 	for ; i+4 <= len(xs); i += 4 {
 		// Reslice to exactly C elements so the bounds-check eliminator can
 		// prove every k+3 access below in bounds.
 		x0, x1, x2, x3 := xs[i][:C], xs[i+1][:C], xs[i+2][:C], xs[i+3][:C]
-		if mulRows4SIMD(m, dst[i*R:(i+4)*R], x0, x1, x2, x3) {
-			continue
-		}
 		d0 := dst[i*R : (i+1)*R]
 		d1 := dst[(i+1)*R : (i+2)*R]
 		d2 := dst[(i+2)*R : (i+3)*R]

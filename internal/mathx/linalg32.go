@@ -88,29 +88,23 @@ func (m *Matrix32) MulVecT(dst, x []float32) {
 // the slices xs: dst[i*m.Rows+j] = Σ_k m[j,k]·xs[i][k], the f32 mirror of
 // Matrix.MulRowsT. Every output element is accumulated in exactly Dot32's
 // association, so the result is bitwise identical to MulVec per row on
-// every kernel tier. Like the f64 kernel, only the overwriting form exists;
-// batched callers combine separate products elementwise.
+// every kernel tier. On the SIMD tiers every width runs in stream blocks
+// (sixteen per zmm, eight per ymm), the leftover streams through the
+// narrowest block kernel that holds them with absent lanes zero-filled; the
+// scalar tier keeps the Go four-stream tile plus a Dot32 per leftover
+// stream. Like the f64 kernel, only the overwriting form exists; batched
+// callers combine separate products elementwise.
 func (m *Matrix32) MulRowsT(dst []float32, xs [][]float32) {
 	R, C := m.Rows, m.Cols
 	if len(dst) != len(xs)*R {
 		panic(fmt.Sprintf("mathx: f32 gemm shape mismatch (%d rows of %d into %d)",
 			len(xs), R, len(dst)))
 	}
+	if mulRows32SIMD(m, dst, xs) {
+		return
+	}
 	n := C &^ 3
 	i := 0
-	// AVX-512 first: sixteen streams per zmm. The kernel's per-lane
-	// association is Dot32's, so peeling 16-wide blocks before the 8-wide
-	// path changes nothing but speed.
-	for ; i+16 <= len(xs); i += 16 {
-		if !mulRows16f32SIMD(m, dst[i*R:(i+16)*R], xs[i:i+16]) {
-			break
-		}
-	}
-	for ; i+8 <= len(xs); i += 8 {
-		if !mulRows8f32SIMD(m, dst[i*R:(i+8)*R], xs[i:i+8]) {
-			break
-		}
-	}
 	for ; i+4 <= len(xs); i += 4 {
 		// Cache-tiled scalar path: four streams advance together per weight
 		// row, four independent accumulator chains, each in Dot32's exact
@@ -182,31 +176,17 @@ func PackGEMM32(m *Matrix32) *PackedGEMM32 {
 }
 
 // MulRowsT is Matrix32.MulRowsT with the same shape contract and the same
-// per-element Dot32 association, but eight-stream blocks on the AVX-512
-// tier run the row-pair kernel (two weight rows per zmm) instead of the
-// 256-bit eight-lane kernel. Results are bitwise-identical to the matrix's
-// own MulRowsT on every tier.
+// per-element Dot32 association, but on the AVX-512 tier blocks of up to
+// eight streams — ragged ones padded — run the row-pair kernel (two weight
+// rows per zmm) instead of the 256-bit eight-lane kernel. Results are
+// bitwise-identical to the matrix's own MulRowsT on every tier.
 func (p *PackedGEMM32) MulRowsT(dst []float32, xs [][]float32) {
-	R := p.m.Rows
-	if len(dst) != len(xs)*R {
+	if len(dst) != len(xs)*p.m.Rows {
 		panic(fmt.Sprintf("mathx: f32 gemm shape mismatch (%d rows of %d into %d)",
-			len(xs), R, len(dst)))
+			len(xs), p.m.Rows, len(dst)))
 	}
-	i := 0
-	// Keep the 16-stream peel: at full zmm occupancy the plain kernel
-	// already amortizes its broadcasts over sixteen lanes.
-	for ; i+16 <= len(xs); i += 16 {
-		if !mulRows16f32SIMD(p.m, dst[i*R:(i+16)*R], xs[i:i+16]) {
-			break
-		}
-	}
-	for ; i+8 <= len(xs); i += 8 {
-		if !mulRows8x2f32SIMD(p, dst[i*R:(i+8)*R], xs[i:i+8]) {
-			break
-		}
-	}
-	if i < len(xs) {
-		p.m.MulRowsT(dst[i*R:], xs[i:])
+	if !mulRowsPacked32SIMD(p, dst, xs) {
+		p.m.MulRowsT(dst, xs)
 	}
 }
 

@@ -96,7 +96,9 @@ func (c *Classifier) StepBatchLogits(buf *BatchBuffer, states []*State, inputs [
 // column gather per stream (a handful of contiguous vector adds each); the
 // recurrent product, combine and gate epilogue are the shared batched code,
 // so the verdicts stay bitwise-identical to the dense batched pass and to
-// the sequential StepLogitsOneHot.
+// the sequential StepLogitsOneHot. A batch of one is that sequential step:
+// with no second stream to share a weight load, the packed GEMV (vectorized
+// across output rows) beats a GEMM block with one real lane.
 func (c *Classifier) StepBatchLogitsOneHot(buf *BatchBuffer, states []*State, idxs [][]int, scores [][]float64) {
 	n := len(states)
 	if n == 0 {
@@ -108,6 +110,10 @@ func (c *Classifier) StepBatchLogitsOneHot(buf *BatchBuffer, states []*State, id
 	}
 	if n > buf.maxBatch {
 		panic(fmt.Sprintf("nn: batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
+	}
+	if n == 1 {
+		c.StepLogitsOneHot(states[0], idxs[0], scores[0])
+		return
 	}
 
 	l0 := c.Layers[0]

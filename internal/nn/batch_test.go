@@ -130,7 +130,10 @@ func TestStepBatchLogitsRanksMatchProbs(t *testing.T) {
 }
 
 // TestStepBatchNoAllocations pins the zero-allocation property of the
-// batched hot path.
+// batched hot paths: the dense f64 path, and the engine's one-hot path at
+// both precisions on every kernel tier — at width 1, which takes the
+// sequential packed-GEMV step, and at ragged widths whose padded blocks
+// stage through stack scratch.
 func TestStepBatchNoAllocations(t *testing.T) {
 	const n = 16
 	c, err := NewClassifier(12, []int{16, 16}, 10, 3)
@@ -153,6 +156,36 @@ func TestStepBatchNoAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("StepBatchLogits allocates %v times per call, want 0", allocs)
 	}
+
+	const maxStreams = 63
+	paper, err := NewClassifier(51, []int{32, 32}, 96, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachKernelTier(t, func(t *testing.T) {
+		m32 := paper.Infer32()
+		buf, buf32 := paper.NewBatchBuffer(maxStreams), m32.NewBatchBuffer(maxStreams)
+		states, states32 := make([]*State, maxStreams), make([]*State32, maxStreams)
+		idxs := make([][]int, maxStreams)
+		scores, scores32 := make([][]float64, maxStreams), make([][]float32, maxStreams)
+		for i := range states {
+			states[i], states32[i] = paper.NewState(), m32.NewState()
+			idxs[i] = []int{i % 17, 17 + i%34}
+			scores[i], scores32[i] = make([]float64, 96), make([]float32, 96)
+		}
+		for _, w := range []int{1, 3, 7, maxStreams} {
+			if allocs := testing.AllocsPerRun(20, func() {
+				paper.StepBatchLogitsOneHot(buf, states[:w], idxs[:w], scores[:w])
+			}); allocs != 0 {
+				t.Errorf("f64 StepBatchLogitsOneHot at width %d allocates %v times per call, want 0", w, allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				m32.StepBatchLogitsOneHot(buf32, states32[:w], idxs[:w], scores32[:w])
+			}); allocs != 0 {
+				t.Errorf("f32 StepBatchLogitsOneHot at width %d allocates %v times per call, want 0", w, allocs)
+			}
+		}
+	})
 }
 
 func TestStepBatchShapePanics(t *testing.T) {

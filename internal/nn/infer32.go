@@ -306,7 +306,8 @@ func (m *InferModel32) StepBatchLogits(buf *BatchBuffer32, states []*State32, in
 
 // StepBatchLogitsOneHot is StepBatchLogits with the first layer's inputs
 // given as one-hot active-column index sets — the batched f32 engine hot
-// path.
+// path. Like the f64 path, a batch of one runs the sequential packed-GEMV
+// step, which is bitwise-equal.
 func (m *InferModel32) StepBatchLogitsOneHot(buf *BatchBuffer32, states []*State32, idxs [][]int, scores [][]float32) {
 	n := len(states)
 	if n == 0 {
@@ -318,6 +319,10 @@ func (m *InferModel32) StepBatchLogitsOneHot(buf *BatchBuffer32, states []*State
 	}
 	if n > buf.maxBatch {
 		panic(fmt.Sprintf("nn: f32 batch of %d exceeds buffer capacity %d", n, buf.maxBatch))
+	}
+	if n == 1 {
+		m.StepLogitsOneHot(states[0], idxs[0], scores[0])
+		return
 	}
 	l0 := m.layers[0]
 	H := l0.hiddenSize

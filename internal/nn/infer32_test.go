@@ -114,10 +114,11 @@ func TestInfer32OneHotMatchesDense(t *testing.T) {
 }
 
 // TestInfer32BatchMatchesSequential: the batched f32 paths against the
-// sequential f32 step under ragged widths, bitwise, per tier.
+// sequential f32 step under ragged widths, bitwise, per tier — full and
+// padded 8- and 16-stream blocks included.
 func TestInfer32BatchMatchesSequential(t *testing.T) {
-	const maxStreams = 9
-	widths := []int{1, maxStreams, 4, 7, 2, 8, 3, maxStreams, 1, 5, 6, maxStreams}
+	const maxStreams = 63
+	widths := []int{1, 9, 4, 7, 2, 8, 3, 12, 1, 5, 17, 6, maxStreams, 9}
 	for _, shape := range onehotShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			forEachKernelTier(t, func(t *testing.T) {

@@ -125,10 +125,12 @@ func TestStepLogitsOneHotMatchesDense(t *testing.T) {
 // TestStepBatchLogitsOneHotMatchesDense: the batched sparse path against
 // both the batched dense path and the sequential sparse path, under ragged
 // batch widths — each step advances a different prefix of the streams, so
-// batch rows, GEMM tile edges and gather groups all shift between steps.
+// batch rows, GEMM tile edges, padded tail blocks and gather groups all
+// shift between steps. Width 1 takes the sequential step itself, so there
+// the dense batched pass is the independent reference.
 func TestStepBatchLogitsOneHotMatchesDense(t *testing.T) {
-	const maxStreams = 9
-	widths := []int{1, maxStreams, 4, 7, 2, 8, 3, maxStreams, 1, 5, 6, maxStreams}
+	const maxStreams = 63
+	widths := []int{1, 9, 4, 7, 2, 8, 3, 12, 1, 5, 17, 6, maxStreams, 9}
 	for _, shape := range onehotShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			forEachKernelTier(t, func(t *testing.T) {
